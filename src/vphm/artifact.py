@@ -47,9 +47,15 @@ def load_artifact(path):
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ArtifactError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ArtifactError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<I", size)
+        raw = fh.read(header_len)
+        if len(raw) != header_len:
+            raise ArtifactError(f"{path}: truncated header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactError(f"{path}: unreadable header: {exc}") from exc
         arrays = {}

@@ -514,7 +514,11 @@ def save_baseline(model, path, meta: dict = None) -> None:
 
 
 def load_baseline(path):
-    kind, meta, arrays = artifact.load_artifact(path)
+    return baseline_from_artifact(*artifact.load_artifact(path), path)
+
+
+def baseline_from_artifact(kind, meta, arrays, path):
+    """The baseline model held by an artifact already read from ``path``."""
     levels = tuple(meta["levels"])
     if kind == "qlr":
         return QlrModel(levels=levels, coef=arrays["coef"],

@@ -30,6 +30,7 @@ class UsageError(ValueError):
 USAGE_ERRORS = (UsageError, FileNotFoundError, NotADirectoryError,
                 artifact.ArtifactError, cnn.InvalidConfig,
                 ingest.EmptyFile, ingest.MissingColumn, ingest.UnknownFlight,
+                ingest.TooShort, ingest.AllRecordsInvalid,
                 physics.UnknownChemistry, KeyError)
 
 MODEL_KINDS = ("cnn", "qlr", "qrf", "qgb")
@@ -145,23 +146,19 @@ def interval_levels(z: float) -> tuple:
 
 def baseline_flight_forecast(model, log, params, window_size, initial_soc,
                              z):
-    """Per-timestep forecast parts for a quantile baseline: distributions
-    shifted to absolute volts, interval bounds, corrected (median) voltage."""
+    """Per-timestep forecast parts for a quantile baseline: one quantile
+    batch shifted to absolute volts, interval bounds, corrected (median)
+    voltage."""
     sim = physics.simulate(log.current, log.sample_period, params, initial_soc)
     windows = ingest.make_windows(log, sim.voltage, window_size, stride=1)
     x = np.stack([w.inputs.reshape(-1) for w in windows])
     qmat = model.predict_quantiles(x)
-    qmat.sort(axis=1)  # monotone repair across levels
-    warm = window_size - 1
-    shift = sim.voltage[warm:]
-    levels = np.asarray(model.levels)
-    dists = [metrics.PiecewiseCdf(row + s, levels)
-             for row, s in zip(qmat, shift)]
+    shift = sim.voltage[window_size - 1:]
+    # the batch sorts each row: monotone repair across levels
+    batch = metrics.QuantileBatch(qmat + shift[:, None], model.levels)
     lo_level, hi_level = interval_levels(z)
-    lower = np.array([d.quantile(lo_level) for d in dists])
-    upper = np.array([d.quantile(hi_level) for d in dists])
-    median = np.array([d.quantile(0.5) for d in dists])
-    return sim, dists, lower, upper, median
+    return (sim, batch, batch.quantile(lo_level), batch.quantile(hi_level),
+            batch.quantile(0.5))
 
 
 def cnn_flight_forecast(model, log, params, seed, initial_soc, z):
@@ -226,11 +223,7 @@ def cmd_train(args) -> int:
         model = cnn.build(config, args.seed)
         _, losses = cnn.train(model, windows, config, seed=args.seed)
         model.fingerprint = fingerprint
-        cnn.save_model(model, out)
-        # the cnn artifact keeps its config block; add the shared meta keys
-        kind, hdr_meta, arrays = artifact.load_artifact(out)
-        hdr_meta.update(meta)
-        artifact.save_artifact(out, kind, hdr_meta, arrays)
+        cnn.save_model(model, out, meta=meta)
         print(f"trained cnn on {len(windows)} windows; "
               f"final epoch loss {losses[-1]:.6f}")
     else:
@@ -251,10 +244,10 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path):
-    kind, meta, _ = artifact.load_artifact(path)
-    if kind == "cnn":
-        return kind, cnn.load_model(path), meta
-    return kind, baselines.load_baseline(path), meta
+    kind, meta, arrays = artifact.load_artifact(path)
+    build = cnn.model_from_artifact if kind == "cnn" \
+        else baselines.baseline_from_artifact
+    return kind, build(kind, meta, arrays, path), meta
 
 
 def _forecast_for(kind, model, meta, log, params, seed, initial_soc, z):
@@ -353,17 +346,22 @@ def cmd_evaluate(args) -> int:
             report = metrics.compute_report(dists, measured, lower, upper)
             rows.append({"model": kind, "flight": log.flight_id,
                          **report.to_kv()})
-            pooled["dists"] += dists
+            pooled["dists"].append(dists)
             pooled["ys"].append(measured)
             pooled["lower"].append(lower)
             pooled["upper"].append(upper)
             print(f"evaluated {kind} on {log.flight_id}")
-        ys = np.concatenate(pooled["ys"])
-        total = metrics.compute_report(pooled["dists"], ys,
+        if kind == "cnn":
+            dists = [d for part in pooled["dists"] for d in part]
+        else:
+            dists = metrics.QuantileBatch(
+                np.concatenate([b.values for b in pooled["dists"]]),
+                model.levels)
+        total = metrics.compute_report(dists, np.concatenate(pooled["ys"]),
                                        np.concatenate(pooled["lower"]),
                                        np.concatenate(pooled["upper"]))
         rows.append({"model": kind, "flight": "TOTAL", **total.to_kv()})
-        grid, observed, _ = metrics.calibration_curve(pooled["dists"], ys)
+        grid, observed = total.calibration
         with open(out_dir / f"calibration_{kind}.csv", "w", encoding="utf-8",
                   newline="") as fh:
             writer = csv.writer(fh)

@@ -336,7 +336,8 @@ def fingerprint_ids(flight_ids) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def save_model(model: CorrectionModel, path) -> None:
+def save_model(model: CorrectionModel, path, meta: dict = None) -> None:
+    """Write the model; ``meta`` adds (or overrides) header meta keys."""
     cfg = asdict(model.config)
     cfg["fc_nodes"] = list(model.config.fc_nodes)
     layer_manifest = [{"kind": s.kind, **s.params}
@@ -347,12 +348,16 @@ def save_model(model: CorrectionModel, path) -> None:
             arrays[f"layer{i:02d}/p{j}"] = p.data
     artifact.save_artifact(path, "cnn",
                            {"config": cfg, "fingerprint": model.fingerprint,
-                            "layers": layer_manifest},
+                            "layers": layer_manifest, **(meta or {})},
                            arrays)
 
 
 def load_model(path) -> CorrectionModel:
-    kind, meta, arrays = artifact.load_artifact(path)
+    return model_from_artifact(*artifact.load_artifact(path), path)
+
+
+def model_from_artifact(kind, meta, arrays, path) -> CorrectionModel:
+    """The model held by an artifact already read from ``path``."""
     if kind != "cnn":
         raise artifact.ArtifactError(f"{path}: expected a cnn artifact, got {kind!r}")
     cfg_dict = dict(meta["config"])

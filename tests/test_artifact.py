@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vphm.artifact import ArtifactError, load_artifact, save_artifact
 
@@ -57,5 +59,35 @@ def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.vphm"
     save_artifact(path, "cnn", {}, {"w": np.zeros(3)})
     path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ArtifactError):
+        load_artifact(path)
+
+
+
+
+def test_every_truncation_offset_raises_artifact_error(tmp_path):
+    path = tmp_path / "m.vphm"
+    save_artifact(path, "qlr", {"levels": [0.1, 0.9], "tag": "µ"},
+                  {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])})
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ArtifactError):
+            load_artifact(path)
+
+
+@given(meta=st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                            max_size=3),
+       sizes=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_artifact_raises_artifact_error(tmp_path_factory, meta,
+                                                  sizes, data):
+    path = tmp_path_factory.mktemp("cut") / "m.vphm"
+    save_artifact(path, "qgb", meta,
+                  {f"a{k}": np.full(n, 0.5) for k, n in enumerate(sizes)})
+    blob = path.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path.write_bytes(blob[:cut])
     with pytest.raises(ArtifactError):
         load_artifact(path)

@@ -105,6 +105,20 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "none"), "--kind",
                      "cnn", "--out", str(tmp_path / "m")]) == 2
 
+    def test_cnn_artifact_written_once(self, sandbox, tmp_path, monkeypatch):
+        calls = []
+        for name in ("save_artifact", "load_artifact"):
+            real = getattr(artifact, name)
+            monkeypatch.setattr(artifact, name, lambda *a, real=real,
+                                name=name, **k: calls.append(name)
+                                or real(*a, **k))
+        out = tmp_path / "cnn.vphm"
+        assert main(["train", "--data", str(sandbox["data"]), "--kind", "cnn",
+                     "--out", str(out), "--epochs", "3", "--seed", "1",
+                     "--mc-samples", "8"]) == 0
+        assert calls == ["save_artifact"]
+        assert out.read_bytes() == sandbox["cnn"].read_bytes()
+
 
 class TestPredict:
     def test_cnn_prediction_columns(self, sandbox, tmp_path):
@@ -127,6 +141,44 @@ class TestPredict:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[30]["interval_lo"]) <= float(rows[30]["interval_hi"])
+
+    def test_model_read_once(self, sandbox, tmp_path, monkeypatch):
+        paths = []
+        real = artifact.load_artifact
+        monkeypatch.setattr(artifact, "load_artifact",
+                            lambda path: paths.append(path) or real(path))
+        for kind in ("cnn", "qlr"):
+            assert main(["predict", "--model", str(sandbox[kind]), "--flight",
+                         str(sandbox["data"] / "mission-00.csv"),
+                         "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        assert paths == [str(sandbox["cnn"]), str(sandbox["qlr"])]
+
+
+class TestBadData:
+    """Data errors exit with code 2."""
+
+    def test_too_short_flight_exits_2(self, sandbox, tmp_path):
+        flight = tmp_path / "short.csv"
+        lines = (sandbox["data"] / "mission-00.csv").read_text().splitlines()
+        flight.write_text("\n".join(lines[:6]) + "\n", encoding="utf-8")
+        assert main(["predict", "--model", str(sandbox["qlr"]), "--flight",
+                     str(flight), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_all_invalid_voltage_exits_2(self, sandbox, tmp_path):
+        flight = tmp_path / "novolts.csv"
+        lines = (sandbox["data"] / "mission-00.csv").read_text().splitlines()
+        flight.write_text("\n".join([lines[0]] + [
+            line.rsplit(",", 1)[0] + "," for line in lines[1:]]) + "\n",
+            encoding="utf-8")
+        assert main(["predict", "--model", str(sandbox["qlr"]), "--flight",
+                     str(flight), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_truncated_artifact_exits_2(self, sandbox, tmp_path):
+        model = tmp_path / "cut.vphm"
+        model.write_bytes(sandbox["qlr"].read_bytes()[:7])
+        assert main(["predict", "--model", str(model), "--flight",
+                     str(sandbox["data"] / "mission-00.csv"),
+                     "--out", str(tmp_path / "p.csv")]) == 2
 
 
 class TestEvaluate:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vphm import metrics
-from vphm.metrics import GaussianDist, PiecewiseCdf
+from vphm.metrics import GaussianDist, PiecewiseCdf, QuantileBatch
 
 
 def crps_quadrature_gaussian(mu, sigma, y):
@@ -131,6 +131,143 @@ class TestPiecewiseCdf:
         assert pw.variance() == pytest.approx(0.0, abs=1e-12)
 
 
+def random_batch(seed, rows=40):
+    """Sorted quantile rows with tied knots (zero-width pieces) and
+    observations on knots and far outside the value range."""
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.choice(np.linspace(0.02, 0.98, 49),
+                                size=rng.integers(2, 12), replace=False))
+    values = np.sort(rng.normal(3.7, 0.05, (rows, levels.size)), axis=1)
+    values[::6] = values[::6, :1]              # all mass on one point
+    if levels.size > 2:
+        values[1::4, 1] = values[1::4, 2]      # one zero-width piece
+    ys = rng.normal(3.7, 0.08, rows)
+    ys[::5] = values[::5, rng.integers(0, levels.size)]
+    ys[1::7], ys[2::7] = 2.0, 5.0
+    return values, levels, ys
+
+
+def scalar_crps(v, p, y):
+    """The piecewise closed form evaluated one segment at a time."""
+    total = 0.0
+    if y < v[0]:
+        total += v[0] - y
+    if y > v[-1]:
+        total += y - v[-1]
+
+    def piece(a, b, fa, fb, h):
+        da, db = fa - h, fb - h
+        return (b - a) * (da * da + da * db + db * db) / 3.0
+
+    for a, b, fa, fb in zip(v[:-1], v[1:], p[:-1], p[1:]):
+        if b == a:
+            continue
+        if y <= a:
+            total += piece(a, b, fa, fb, 1.0)
+        elif y >= b:
+            total += piece(a, b, fa, fb, 0.0)
+        else:
+            fy = fa + (fb - fa) * (y - a) / (b - a)
+            total += piece(a, y, fa, fy, 0.0)
+            total += piece(y, b, fy, fb, 1.0)
+    return total
+
+
+def scalar_variance(v, p):
+    """The piecewise variance of one row with per-row numpy sums."""
+    masses = np.diff(p)
+    mean = p[0] * v[0] + (1.0 - p[-1]) * v[-1]
+    mean += float(np.sum(masses * 0.5 * (v[:-1] + v[1:])))
+    ex2 = p[0] * v[0] ** 2 + (1.0 - p[-1]) * v[-1] ** 2
+    ex2 += float(np.sum(masses * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2)
+                        / 3.0))
+    return ex2 - mean ** 2
+
+
+class TestQuantileBatch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quantile_bit_equal_to_interp(self, seed):
+        values, levels, _ = random_batch(seed)
+        batch = QuantileBatch(values, levels)
+        probes = np.concatenate((np.linspace(0.0, 1.0, 101), levels,
+                                 [levels[0] / 2, (1 + levels[-1]) / 2,
+                                  np.nan]))
+        for p in probes:
+            want = np.array([np.interp(float(p), levels, row)
+                             for row in values])
+            assert batch.quantile(float(p)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crps_matches_quadrature(self, seed):
+        values, levels, ys = random_batch(seed, rows=14)
+        got = QuantileBatch(values, levels).crps(ys)
+        for row, y, score in zip(values, ys, got):
+            want = crps_quadrature_piecewise(PiecewiseCdf(row, levels), y)
+            assert score == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crps_sums_pieces_in_segment_order(self, seed):
+        values, levels, ys = random_batch(seed)
+        got = QuantileBatch(values, levels).crps(ys)
+        want = [scalar_crps(row, levels, float(y))
+                for row, y in zip(values, ys)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_variance_bit_equal_to_row_formula(self, seed):
+        # scalar x ** 2 (libm pow) and array x ** 2 (x * x) differ in the
+        # last ulp on about 1 input in 1000, hence the many rows
+        values, levels, _ = random_batch(seed, rows=4000)
+        want = [scalar_variance(row, levels) for row in values]
+        got = QuantileBatch(values, levels).variance()
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_variance_matches_quantile_integral(self, seed):
+        values, levels, _ = random_batch(seed, rows=12)
+        batch = QuantileBatch(values, levels)
+        for row, mean, var in zip(values, batch.mean(), batch.variance()):
+            pw = PiecewiseCdf(row, levels)
+            ex = quantile_integral_moment(pw, 1)
+            ex2 = quantile_integral_moment(pw, 2)
+            assert mean == pytest.approx(ex, abs=1e-6)
+            assert var == pytest.approx(ex2 - ex * ex, abs=1e-6)
+
+    def test_rows_are_sorted(self):
+        batch = QuantileBatch([[1.0, 0.0, 0.5]], [0.9, 0.1, 0.5])
+        assert batch.levels.tolist() == [0.1, 0.5, 0.9]
+        assert batch.values.tolist() == [[0.0, 0.5, 1.0]]
+
+    def test_len_and_length_mismatch(self):
+        batch = QuantileBatch(np.zeros((5, 3)), [0.1, 0.5, 0.9])
+        assert len(batch) == 5
+        with pytest.raises(metrics.LengthMismatch):
+            QuantileBatch(np.zeros((5, 3)), [0.25, 0.75])
+        with pytest.raises(metrics.LengthMismatch):
+            batch.crps(np.zeros(4))
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.crps_summary(batch, np.zeros(6))
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.calibration_curve(batch, np.zeros(4))
+
+    def test_bad_levels_rejected(self):
+        with pytest.raises(ValueError):
+            QuantileBatch(np.zeros((2, 1)), [0.5])
+        with pytest.raises(ValueError):
+            QuantileBatch(np.zeros((2, 2)), [0.0, 0.5])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scores_equal_per_row_distributions(self, seed):
+        values, levels, ys = random_batch(seed)
+        batch = QuantileBatch(values, levels)
+        rows = [PiecewiseCdf(row, levels) for row in values]
+        assert metrics.crps_summary(batch, ys) == metrics.crps_summary(rows, ys)
+        assert metrics.sharpness(batch) == metrics.sharpness(rows)
+        for got, want in zip(metrics.calibration_curve(batch, ys),
+                             metrics.calibration_curve(rows, ys)):
+            assert np.array_equal(got, want)
+
+
 class TestCrpsSummary:
     def test_two_point_example(self):
         class Fixed:
@@ -246,3 +383,14 @@ class TestReport:
             assert np.isfinite(v)
         assert 0.0 <= rep.picp <= 1.0
         assert 0.0 <= rep.miscalibration_area <= 0.5
+
+    def test_report_keeps_its_calibration_curve(self):
+        values, levels, ys = random_batch(1)
+        batch = QuantileBatch(values, levels)
+        rep = metrics.compute_report(batch, ys, batch.quantile(0.1),
+                                     batch.quantile(0.9))
+        grid, observed, area = metrics.calibration_curve(batch, ys)
+        assert np.array_equal(rep.calibration[0], grid)
+        assert np.array_equal(rep.calibration[1], observed)
+        assert rep.miscalibration_area == area
+        assert "calibration" not in rep.to_kv()
