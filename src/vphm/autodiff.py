@@ -255,8 +255,3 @@ class Tensor:
             node._backward = None
             node._prev = ()
         self._freed = True
-
-
-def backward(loss: Tensor) -> None:
-    """Functional alias for ``loss.backward()``."""
-    loss.backward()

@@ -5,8 +5,9 @@ All three consume the flattened window features (window_size x 2 values)
 and predict conditional quantiles of the voltage residual. QRF and QGB
 share one regression-tree implementation: exhaustive variance-reduction
 split search with deterministic tie-breaking (lowest feature index, then
-lowest threshold). Forecast distributions are obtained by feeding the
-predicted quantile set into a piecewise-linear CDF.
+lowest threshold). Each model predicts the quantiles of many rows at once
+with ``predict_quantiles``; a flight's quantile matrix becomes one
+``metrics.QuantileBatch`` of piecewise-linear CDFs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .metrics import PiecewiseCdf
 
 DEFAULT_LEVELS = tuple([0.025] + [round(0.05 * k, 3) for k in range(1, 20)]
                        + [0.975])
@@ -48,31 +48,6 @@ def weighted_quantile(values, weights, tau: float) -> float:
     return float(vs[idx])
 
 
-@dataclass
-class QuantileSet:
-    """Ordered quantile levels with their predicted values; crossing values
-    are repaired by sorting at construction."""
-
-    levels: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
-        if np.any(np.diff(levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        if levels.size != len(self.values):
-            raise ValueError("one value per level required")
-        self.levels = tuple(levels.tolist())
-        self.values = np.sort(np.asarray(self.values, dtype=np.float64))
-
-
-def quantiles_to_distribution(qs: QuantileSet) -> PiecewiseCdf:
-    """Piecewise-linear CDF through the quantile set (flat-extended tails)."""
-    if len(qs.levels) < 2:
-        raise ValueError("need at least 2 levels to build a CDF")
-    return PiecewiseCdf(qs.values, qs.levels)
-
-
 # ---------------------------------------------------------------------------
 # quantile linear regression
 # ---------------------------------------------------------------------------
@@ -89,9 +64,6 @@ class QlrModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         z = (X - self.x_mean) / self.x_std
         return z @ self.coef.T + self.intercept
-
-    def predict(self, x) -> QuantileSet:
-        return QuantileSet(self.levels, self.predict_quantiles(x)[0])
 
 
 def qlr_fit(X, y, levels=DEFAULT_LEVELS, epochs: int = 400,
@@ -349,17 +321,6 @@ class QrfModel:
                 out[start + r] = ys[np.minimum(pos, ys.size - 1)]
         return out
 
-    def predict(self, x) -> QuantileSet:
-        return QuantileSet(self.levels, self.predict_quantiles(x)[0])
-
-
-def qrf_predict(forest: QrfModel, x, levels=None) -> QuantileSet:
-    """Weighted empirical quantiles of the training targets at one query."""
-    levels = forest.levels if levels is None else tuple(levels)
-    w = forest.weights_for(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    values = [weighted_quantile(forest.y_train, w, tau) for tau in levels]
-    return QuantileSet(levels, np.array(values))
-
 
 def qrf_fit(X, y, config: ForestConfig = None,
             levels=DEFAULT_LEVELS) -> QrfModel:
@@ -453,12 +414,6 @@ def qgb_fit(X, y, config: BoostConfig = None, level: float = 0.5) -> QgbModel:
     return model
 
 
-def qgb_predict(ensemble: QgbModel, x) -> float:
-    """Point prediction of one boosted quantile ensemble."""
-    return float(ensemble.predict(np.atleast_2d(
-        np.asarray(x, dtype=np.float64)))[0])
-
-
 @dataclass
 class QgbSet:
     """One boosted ensemble per quantile level."""
@@ -469,9 +424,6 @@ class QgbSet:
     def predict_quantiles(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.column_stack([m.predict(X) for m in self.models])
-
-    def predict(self, x) -> QuantileSet:
-        return QuantileSet(self.levels, self.predict_quantiles(x)[0])
 
 
 def qgb_fit_set(X, y, config: BoostConfig = None,

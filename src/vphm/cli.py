@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,32 +144,60 @@ def interval_levels(z: float) -> tuple:
     return lo, 1.0 - lo
 
 
-def baseline_flight_forecast(model, log, params, window_size, initial_soc,
-                             z):
-    """Per-timestep forecast parts for a quantile baseline: one quantile
-    batch shifted to absolute volts, interval bounds, corrected (median)
-    voltage."""
-    sim = physics.simulate(log.current, log.sample_period, params, initial_soc)
-    windows = ingest.make_windows(log, sim.voltage, window_size, stride=1)
-    x = np.stack([w.inputs.reshape(-1) for w in windows])
-    qmat = model.predict_quantiles(x)
-    shift = sim.voltage[window_size - 1:]
-    # the batch sorts each row: monotone repair across levels
-    batch = metrics.QuantileBatch(qmat + shift[:, None], model.levels)
-    lo_level, hi_level = interval_levels(z)
-    return (sim, batch, batch.quantile(lo_level), batch.quantile(hi_level),
-            batch.quantile(0.5))
+@dataclass
+class Forecast:
+    """One model's forecast of one flight. The first ``warm`` samples are
+    physics-only and unscored; ``physics_v`` covers every sample, the other
+    arrays the scored rows. ``extra`` holds the model's own ``predict``
+    columns; a column that covers only the scored rows leaves the warm-up
+    cells blank."""
+
+    physics_v: np.ndarray
+    warm: int
+    measured: np.ndarray
+    center: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    dists: object           # metrics.GaussianBatch or metrics.QuantileBatch
+    extra: dict
 
 
-def cnn_flight_forecast(model, log, params, seed, initial_soc, z):
-    fc = cnn.forecast_flight(model, log, params, seed=seed,
-                             initial_soc=initial_soc)
-    idx = fc.scored_indices
-    mu = fc.corrected_voltage[idx]
-    sigma = fc.sigma_tu[idx]
-    dists = [metrics.GaussianDist(m, max(s, 1e-12))
-             for m, s in zip(mu, sigma)]
-    return fc, dists, mu - z * sigma, mu + z * sigma, mu
+def flight_forecast(kind, model, meta, log, conf, seed) -> Forecast:
+    """The forecast of ``log`` by a loaded model, with its central interval
+    at +/- z sigma (Gaussian) or the equivalent quantile levels. The
+    initial state of charge the model was trained at wins over the run
+    config's."""
+    params = battery_params(conf)
+    initial_soc = float(meta.get("initial_soc", conf["initial_soc"]))
+    z = float(conf["z"])
+    if kind == "cnn":
+        fc = cnn.forecast_flight(model, log, params, seed=seed,
+                                 initial_soc=initial_soc)
+        warm = model.config.window_size - 1
+        physics_v = fc.physics_voltage
+        center = fc.corrected_voltage[warm:]
+        sigma = fc.sigma_tu[warm:]
+        # floored for scoring only: a batch rejects sigma = 0
+        dists = metrics.GaussianBatch(center, np.maximum(sigma, 1e-12))
+        lower, upper = center - z * sigma, center + z * sigma
+        extra = {"sigma_a": fc.sigma_a, "sigma_e": fc.sigma_e,
+                 "sigma_tu": fc.sigma_tu}
+    else:
+        warm = int(meta["window_size"]) - 1
+        physics_v = physics.simulate(log.current, log.sample_period, params,
+                                     initial_soc).voltage
+        x, _ = flatten_features(
+            ingest.make_windows(log, physics_v, warm + 1, stride=1))
+        # the batch sorts each row: monotone repair across levels
+        dists = metrics.QuantileBatch(
+            model.predict_quantiles(x) + physics_v[warm:, None], model.levels)
+        lo_level, hi_level = interval_levels(z)
+        lower, upper = dists.quantile(lo_level), dists.quantile(hi_level)
+        center = dists.quantile(0.5)
+        extra = {"interval_lo": lower, "interval_hi": upper}
+    return Forecast(physics_v=physics_v, warm=warm,
+                    measured=log.voltage[warm:], center=center, lower=lower,
+                    upper=upper, dists=dists, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -250,67 +278,29 @@ def _load_any_model(path):
     return kind, build(kind, meta, arrays, path), meta
 
 
-def _forecast_for(kind, model, meta, log, params, seed, initial_soc, z):
-    if kind == "cnn":
-        fc, dists, lower, upper, center = cnn_flight_forecast(
-            model, log, params, seed, initial_soc, z)
-        warm = model.config.window_size - 1
-        sim_voltage = fc.physics_voltage
-        extras = fc
-    else:
-        window_size = int(meta["window_size"])
-        sim, dists, lower, upper, center = baseline_flight_forecast(
-            model, log, params, window_size, initial_soc, z)
-        warm = window_size - 1
-        sim_voltage = sim.voltage
-        extras = None
-    measured = log.voltage[warm:]
-    return dists, lower, upper, center, measured, warm, sim_voltage, extras
-
-
 def cmd_predict(args) -> int:
     conf = load_run_config(args)
-    params = battery_params(conf)
     kind, model, meta = _load_any_model(args.model)
     records = ingest.parse_flight_csv(args.flight)
     log = ingest.clean(records, flight_id=Path(args.flight).stem)
-    initial_soc = float(meta.get("initial_soc", conf["initial_soc"]))
-    z = float(conf["z"])
-    dists, lower, upper, center, _, warm, sim_voltage, extras = _forecast_for(
-        kind, model, meta, log, params, args.seed, initial_soc, z)
+    fc = flight_forecast(kind, model, meta, log, conf, args.seed)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    n = len(log)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if kind == "cnn":
-            writer.writerow(["time_s", "physics_v", "corrected_v", "sigma_a",
-                             "sigma_e", "sigma_tu", "uncorrected"])
-            fc = extras
-            for i in range(len(log)):
-                writer.writerow([
-                    repr(float(log.times[i])),
-                    repr(float(fc.physics_voltage[i])),
-                    repr(float(fc.corrected_voltage[i])),
-                    repr(float(fc.sigma_a[i])),
-                    repr(float(fc.sigma_e[i])),
-                    repr(float(fc.sigma_tu[i])),
-                    int(fc.uncorrected[i])])
-        else:
-            writer.writerow(["time_s", "physics_v", "corrected_v",
-                             "interval_lo", "interval_hi", "uncorrected"])
-            for i in range(len(log)):
-                if i < warm:
-                    row = [repr(float(log.times[i])),
-                           repr(float(sim_voltage[i])),
-                           repr(float(sim_voltage[i])), "", "", 1]
-                else:
-                    j = i - warm
-                    row = [repr(float(log.times[i])),
-                           repr(float(sim_voltage[i])),
-                           repr(float(center[j])),
-                           repr(float(lower[j])), repr(float(upper[j])), 0]
-                writer.writerow(row)
+        writer.writerow(["time_s", "physics_v", "corrected_v", *fc.extra,
+                         "uncorrected"])
+        for i in range(n):
+            warm = i < fc.warm
+            corrected = fc.physics_v[i] if warm else fc.center[i - fc.warm]
+            writer.writerow([
+                repr(float(log.times[i])), repr(float(fc.physics_v[i])),
+                repr(float(corrected)),
+                *(repr(float(col[i - n + col.size])) if i >= n - col.size
+                  else "" for col in fc.extra.values()),
+                int(warm)])
     print(f"wrote {out}")
     return 0
 
@@ -329,37 +319,26 @@ def _format_score_table(rows) -> str:
 
 def cmd_evaluate(args) -> int:
     conf = load_run_config(args)
-    params = battery_params(conf)
     logs = load_flights(args.data)
-    z = float(conf["z"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for model_path in args.models:
         kind, model, meta = _load_any_model(model_path)
-        initial_soc = float(meta.get("initial_soc", conf["initial_soc"]))
-        pooled = {"dists": [], "ys": [], "lower": [], "upper": []}
+        fcs = []
         for log in logs:
-            dists, lower, upper, _, measured, _, _, _ = _forecast_for(
-                kind, model, meta, log, params, args.seed, initial_soc, z)
-            report = metrics.compute_report(dists, measured, lower, upper)
+            fc = flight_forecast(kind, model, meta, log, conf, args.seed)
+            report = metrics.compute_report(fc.dists, fc.measured, fc.lower,
+                                            fc.upper)
             rows.append({"model": kind, "flight": log.flight_id,
                          **report.to_kv()})
-            pooled["dists"].append(dists)
-            pooled["ys"].append(measured)
-            pooled["lower"].append(lower)
-            pooled["upper"].append(upper)
+            fcs.append(fc)
             print(f"evaluated {kind} on {log.flight_id}")
-        if kind == "cnn":
-            dists = [d for part in pooled["dists"] for d in part]
-        else:
-            dists = metrics.QuantileBatch(
-                np.concatenate([b.values for b in pooled["dists"]]),
-                model.levels)
-        total = metrics.compute_report(dists, np.concatenate(pooled["ys"]),
-                                       np.concatenate(pooled["lower"]),
-                                       np.concatenate(pooled["upper"]))
+        total = metrics.compute_report(
+            type(fcs[0].dists).concat([fc.dists for fc in fcs]),
+            *(np.concatenate([getattr(fc, name) for fc in fcs])
+              for name in ("measured", "lower", "upper")))
         rows.append({"model": kind, "flight": "TOTAL", **total.to_kv()})
         grid, observed = total.calibration
         with open(out_dir / f"calibration_{kind}.csv", "w", encoding="utf-8",
@@ -393,24 +372,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     conf = load_run_config(args)
-    params = battery_params(conf)
     logs = load_flights(args.data)
-    z = float(conf["z"])
-    threshold = float(conf["threshold"])
     kind, model, meta = _load_any_model(args.model)
-    initial_soc = float(meta.get("initial_soc", conf["initial_soc"]))
 
     reports = []
     for log in logs:
-        _, lower, upper, _, measured, _, _, extras = _forecast_for(
-            kind, model, meta, log, params, args.seed, initial_soc, z)
-        if kind == "cnn":
-            reports.append(diagnostics.diagnose(extras, log.voltage, z=z,
-                                                threshold=threshold))
-        else:
-            reports.append(diagnostics.diagnose_bounds(
-                log.flight_id, lower, upper, measured, z=z,
-                threshold=threshold, model_kind=kind))
+        fc = flight_forecast(kind, model, meta, log, conf, args.seed)
+        reports.append(diagnostics.diagnose_bounds(
+            log.flight_id, fc.lower, fc.upper, fc.measured,
+            z=float(conf["z"]), threshold=float(conf["threshold"]),
+            model_kind=kind))
         print(f"diagnosed {log.flight_id}: {reports[-1].verdict}")
 
     rows = diagnostics.fleet_report(reports)
@@ -501,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fleet", type=int, default=1)
     p.add_argument("--scales", help="comma list of q_max scales, one per flight")
-    p.set_defaults(func=cmd_simulate)
+    # no default seed: the flag overrides the scenario file's seed
+    p.set_defaults(func=cmd_simulate, seed=None)
 
     p = sub.add_parser("train", help="train a model on a directory of flights")
     common(p)

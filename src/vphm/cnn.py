@@ -78,11 +78,6 @@ class UncertaintyDecomposition:
     sigma_tu: float
 
 
-def total_uncertainty(sigma_a: float, sigma_e: float) -> float:
-    """Euclidean combination of independent uncertainty components."""
-    return math.sqrt(sigma_a * sigma_a + sigma_e * sigma_e)
-
-
 @dataclass
 class HybridForecast:
     """Per-timestep hybrid prediction for one flight. The first
@@ -98,7 +93,6 @@ class HybridForecast:
     sigma_e: np.ndarray
     sigma_tu: np.ndarray
     uncorrected: np.ndarray
-    eod_index: object = None
 
     @property
     def scored_indices(self) -> np.ndarray:
@@ -279,8 +273,7 @@ def forecast_flight(model: CorrectionModel, log: ingest.FlightLog,
         sigma_a=full(np.sqrt(sigma_a2)),
         sigma_e=full(np.sqrt(sigma_e2)),
         sigma_tu=full(np.sqrt(sigma_a2 + sigma_e2)),
-        uncorrected=uncorrected,
-        eod_index=sim.eod_index)
+        uncorrected=uncorrected)
 
 
 @dataclass
@@ -313,8 +306,7 @@ def dropout_sensitivity(config: CnnConfig, rates, train_windows, eval_windows,
         train(model, train_windows, cfg, seed=seed)
         y_hat, sigma_a2, sigma_e2 = _mc_forward(
             model, model.normalize(eval_x_raw), cfg.mc_samples, seed)
-        sigma_tu = np.sqrt(sigma_a2 + sigma_e2)
-        dists = [metrics.GaussianDist(m, s) for m, s in zip(y_hat, sigma_tu)]
+        dists = metrics.GaussianBatch(y_hat, np.sqrt(sigma_a2 + sigma_e2))
         crps_mean, _ = metrics.crps_summary(dists, eval_y)
         _, _, area = metrics.calibration_curve(dists, eval_y)
         rows.append(SensitivityRow(

@@ -62,14 +62,6 @@ class FlightLog:
     def __len__(self):
         return self.times.size
 
-    @property
-    def samples(self):
-        return list(zip(self.times.tolist(), self.current.tolist(),
-                        self.voltage.tolist()))
-
-    def to_records(self) -> list[RawRecord]:
-        return [RawRecord(t, i, v) for t, i, v in self.samples]
-
 
 @dataclass
 class WindowedSample:

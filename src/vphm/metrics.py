@@ -1,18 +1,19 @@
 """Probabilistic forecast scoring: CRPS, calibration, sharpness, PICP.
 
-Two predictive-distribution kinds are supported: Gaussian (mu, sigma) and a
-piecewise-linear CDF built from a quantile set. Piecewise forecasts are
-scored as a ``QuantileBatch``, one (T, G) value matrix for T timesteps, with
-every closed form vectorized over T. CRPS uses closed forms for both kinds
-(the numerical quadrature of the defining integral is kept in the test
-suite as the oracle).
+Two predictive-distribution kinds are supported, each held as a batch of T
+forecasts with every closed form vectorized over T: ``GaussianBatch``
+(mu, sigma arrays) and ``QuantileBatch``, piecewise-linear CDFs as one
+(T, G) value matrix over a quantile-level grid. ``GaussianDist`` and
+``PiecewiseCdf`` are one-row views of them. The scoring functions take a
+batch or a sequence of one-row views of one kind. CRPS uses closed forms
+for both kinds (the numerical quadrature of the defining integral is kept
+in the test suite as the oracle).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,31 +30,67 @@ class InvertedInterval(ValueError):
     """Interval lower bound exceeds upper bound."""
 
 
+def _observations(batch, ys) -> np.ndarray:
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.shape != (len(batch),) or ys.size == 0:
+        raise LengthMismatch(f"{len(batch)} forecasts vs {ys.size} "
+                             "observations")
+    return ys
+
+
+class GaussianBatch:
+    """T Gaussian predictive distributions: row t is N(mu[t], sigma[t]^2)."""
+
+    def __init__(self, mu, sigma):
+        mu = np.asarray(mu, dtype=np.float64)
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if mu.ndim != 1 or sigma.shape != mu.shape:
+            raise LengthMismatch(f"{mu.size} means vs {sigma.size} sigmas")
+        if np.any(sigma <= 0):
+            raise ValueError("sigma must be positive")
+        self.mu = mu
+        self.sigma = sigma
+
+    def __len__(self) -> int:
+        return self.mu.size
+
+    @classmethod
+    def concat(cls, batches) -> "GaussianBatch":
+        return cls(np.concatenate([b.mu for b in batches]),
+                   np.concatenate([b.sigma for b in batches]))
+
+    def quantile(self, p: float) -> np.ndarray:
+        return self.mu + self.sigma * ndtri(p)
+
+    def variance(self) -> np.ndarray:
+        # libm pow, as a scalar sigma ** 2 squares
+        return np.float_power(self.sigma, 2)
+
+    def crps(self, ys) -> np.ndarray:
+        """Per-row closed form (Gneiting & Raftery 2007)."""
+        z = (_observations(self, ys) - self.mu) / self.sigma
+        phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        return self.sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * phi
+                             - _INV_SQRT_PI)
+
+
 @dataclass(frozen=True)
 class GaussianDist:
-    """Gaussian predictive distribution."""
+    """One Gaussian predictive distribution: a ``GaussianBatch`` of one
+    row."""
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "_batch",
+                           GaussianBatch([self.mu], [self.sigma]))
 
     def cdf(self, x: float) -> float:
         return float(ndtr((x - self.mu) / self.sigma))
 
-    def quantile(self, p: float) -> float:
-        return float(self.mu + self.sigma * ndtri(p))
-
-    def variance(self) -> float:
-        return self.sigma ** 2
-
     def crps(self, y: float) -> float:
-        z = (y - self.mu) / self.sigma
-        phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        big_phi = float(ndtr(z))
-        return self.sigma * (z * (2.0 * big_phi - 1.0) + 2.0 * phi - _INV_SQRT_PI)
+        return float(self._batch.crps([y])[0])
 
 
 class QuantileBatch:
@@ -88,6 +125,13 @@ class QuantileBatch:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @classmethod
+    def concat(cls, batches) -> "QuantileBatch":
+        levels = batches[0].levels
+        if any(not np.array_equal(b.levels, levels) for b in batches):
+            raise ValueError("batches must share one level grid")
+        return cls(np.concatenate([b.values for b in batches]), levels)
 
     def quantile(self, p: float) -> np.ndarray:
         """Per-row quantile at level p, interpolated as ``np.interp`` does:
@@ -127,10 +171,7 @@ class QuantileBatch:
     def crps(self, ys) -> np.ndarray:
         """Per-row exact integral of (F(x) - 1{x >= y})^2 over the linear
         pieces, plus the tail strip when y falls outside the value range."""
-        ys = np.asarray(ys, dtype=np.float64)
-        if ys.shape != (len(self),):
-            raise LengthMismatch(f"{len(self)} forecasts vs {ys.size} "
-                                 "observations")
+        ys = _observations(self, ys)
         v, p = self.values, self.levels
         a, b = v[:, :-1], v[:, 1:]
         fa, fb = p[:-1], p[1:]
@@ -190,11 +231,6 @@ class PiecewiseCdf:
         return float(self._batch.crps([y])[0])
 
 
-PredictiveDistribution = Union[GaussianDist, PiecewiseCdf]
-# the scoring functions take a sequence of distributions or a QuantileBatch
-Forecasts = Union[Sequence[PredictiveDistribution], QuantileBatch]
-
-
 @dataclass
 class ScoreReport:
     """The per-flight scoring row: CRPS mean/std, miscalibration area,
@@ -214,65 +250,49 @@ class ScoreReport:
                 "sharpness": self.sharpness, "picp": self.picp}
 
 
-def crps(dist: PredictiveDistribution, y: float) -> float:
-    """Continuous ranked probability score of one forecast/observation pair."""
-    return dist.crps(float(y))
+def _as_batch(dists):
+    """The forecasts as one batch. A ``GaussianBatch`` or ``QuantileBatch``
+    is returned as it is; a sequence of ``GaussianDist``, or of
+    ``PiecewiseCdf`` on one level grid, is stacked into one."""
+    if isinstance(dists, (GaussianBatch, QuantileBatch)):
+        return dists
+    rows = [d._batch for d in dists]
+    if not rows:
+        raise LengthMismatch("no forecasts")
+    if any(type(r) is not type(rows[0]) for r in rows):
+        raise TypeError("cannot pool Gaussian and piecewise forecasts")
+    return type(rows[0]).concat(rows)
 
 
-def _observations(dists, ys) -> np.ndarray:
-    ys = np.asarray(ys, dtype=np.float64)
-    if len(dists) != ys.size or ys.size == 0:
-        raise LengthMismatch(f"{len(dists)} forecasts vs {ys.size} observations")
-    return ys
-
-
-def crps_summary(dists: Forecasts, ys) -> tuple:
+def crps_summary(dists, ys) -> tuple:
     """Arithmetic mean and population standard deviation of per-point CRPS."""
-    ys = _observations(dists, ys)
-    if isinstance(dists, QuantileBatch):
-        scores = dists.crps(ys)
-    else:
-        scores = np.array([d.crps(float(y)) for d, y in zip(dists, ys)])
+    scores = _as_batch(dists).crps(ys)
     return float(scores.mean()), float(scores.std())
 
 
-def _quantile_matrix(dists, grid) -> np.ndarray:
-    """(T, G) matrix of per-forecast quantiles; vectorized for a quantile
-    batch and for the all-Gaussian case."""
-    if isinstance(dists, QuantileBatch):
-        return np.stack([dists.quantile(float(p)) for p in grid], axis=1)
-    if all(isinstance(d, GaussianDist) for d in dists):
-        mus = np.array([d.mu for d in dists])
-        sigmas = np.array([d.sigma for d in dists])
-        with np.errstate(divide="ignore"):
-            zs = ndtri(grid)
-        return mus[:, None] + sigmas[:, None] * zs[None, :]
-    return np.array([[d.quantile(float(p)) for p in grid] for d in dists])
-
-
-def calibration_curve(dists: Forecasts, ys, grid_size: int = 101):
+def calibration_curve(dists, ys, grid_size: int = 101):
     """Observed coverage fraction per nominal probability level.
 
     Returns (levels, observed fractions, miscalibration area); the area is
     the trapezoidal integral of |observed - level| over the uniform grid.
     """
-    ys = _observations(dists, ys)
+    batch = _as_batch(dists)
+    ys = _observations(batch, ys)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     grid = np.linspace(0.0, 1.0, grid_size)
-    qmat = _quantile_matrix(dists, grid)
+    qmat = np.stack([batch.quantile(float(p)) for p in grid], axis=1)
     observed = (ys[:, None] <= qmat).mean(axis=0)
     area = float(np.trapezoid(np.abs(observed - grid), grid))
     return grid, observed, area
 
 
-def sharpness(dists: Forecasts) -> float:
+def sharpness(dists) -> float:
     """Root mean predictive variance."""
-    if len(dists) == 0:
+    batch = _as_batch(dists)
+    if len(batch) == 0:
         raise ValueError("sharpness needs at least one forecast")
-    if isinstance(dists, QuantileBatch):
-        return float(np.sqrt(np.mean(dists.variance())))
-    return float(np.sqrt(np.mean([d.variance() for d in dists])))
+    return float(np.sqrt(np.mean(batch.variance())))
 
 
 def picp(lower, upper, ys) -> float:
@@ -287,10 +307,11 @@ def picp(lower, upper, ys) -> float:
     return float(np.mean((lower <= ys) & (ys <= upper)))
 
 
-def compute_report(dists: Forecasts, ys, lower, upper,
+def compute_report(dists, ys, lower, upper,
                    grid_size: int = 101) -> ScoreReport:
     """All four paper metrics for one flight's forecasts; the report also
     keeps the calibration curve it measured the area on."""
+    dists = _as_batch(dists)
     mean, std = crps_summary(dists, ys)
     grid, observed, area = calibration_curve(dists, ys, grid_size)
     return ScoreReport(crps_mean=mean, crps_std=std, miscalibration_area=area,

@@ -23,12 +23,10 @@ responsible for absorbing the resulting bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from . import kvconfig
 
 
 class UnknownChemistry(KeyError):
@@ -37,10 +35,6 @@ class UnknownChemistry(KeyError):
 
 class NonFiniteState(FloatingPointError):
     """Integration produced NaN or infinity in the state vector."""
-
-
-class Degenerate(ValueError):
-    """Not enough data to calibrate against."""
 
 
 # Default electrode OCV polynomials (degree 5, ascending coefficients, volts
@@ -96,10 +90,6 @@ class BatteryState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.q_s_p, self.q_b_p, self.q_s_n, self.q_b_n,
                          self.v_o, self.v_eta_p, self.v_eta_n])
-
-    @classmethod
-    def from_vector(cls, vec) -> "BatteryState":
-        return cls(*(float(v) for v in vec))
 
 
 @dataclass
@@ -246,93 +236,3 @@ def simulate(current, dt: float, params: BatteryParams,
                 raise NonFiniteState(f"state became non-finite at sample {k}")
     return SimResult(times=np.arange(n) * dt, voltage=voltage, soc=soc,
                      eod_index=eod_index)
-
-
-def calibrate(params: BatteryParams, log, initial_soc: float = 1.0,
-              sweeps: int = 3) -> BatteryParams:
-    """Fit r_ohmic and a q_max scale to a measured flight log.
-
-    Coordinate descent: each coordinate is scanned on a coarse multiplier
-    grid and refined by golden-section search; a candidate is accepted only
-    if it improves the mean squared voltage error, so the objective never
-    increases. All other parameters are left untouched.
-    """
-    if len(log.current) < 50:
-        raise Degenerate("calibration needs at least 50 samples")
-    measured = np.asarray(log.voltage, dtype=np.float64)
-    dt = log.sample_period
-
-    def objective(r_fac: float, q_fac: float) -> float:
-        cand = replace(params, r_ohmic=params.r_ohmic * r_fac,
-                       q_max=params.q_max * q_fac)
-        sim = simulate(log.current, dt, cand, initial_soc)
-        return float(np.mean((sim.voltage - measured) ** 2))
-
-    def line_search(fixed_other, is_r: bool, best_fac: float, best_obj: float):
-        lo, hi = (0.2, 5.0) if is_r else (0.5, 2.0)
-        grid = np.geomspace(lo, hi, 13)
-        for fac in grid:
-            obj = objective(fac, fixed_other) if is_r else objective(fixed_other, fac)
-            if obj < best_obj:
-                best_obj, best_fac = obj, float(fac)
-        # golden-section refinement around the best grid point
-        a = max(lo, best_fac / grid[1] * grid[0])
-        b = min(hi, best_fac * grid[1] / grid[0])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        for _ in range(30):
-            fc = objective(c, fixed_other) if is_r else objective(fixed_other, c)
-            fd = objective(d, fixed_other) if is_r else objective(fixed_other, d)
-            if fc < fd:
-                b, d = d, c
-                c = b - invphi * (b - a)
-            else:
-                a, c = c, d
-                d = a + invphi * (b - a)
-        mid = 0.5 * (a + b)
-        obj = objective(mid, fixed_other) if is_r else objective(fixed_other, mid)
-        if obj < best_obj:
-            best_obj, best_fac = obj, float(mid)
-        return best_fac, best_obj
-
-    r_fac, q_fac = 1.0, 1.0
-    best = objective(r_fac, q_fac)
-    for _ in range(sweeps):
-        r_fac, best = line_search(q_fac, True, r_fac, best)
-        q_fac, best = line_search(r_fac, False, q_fac, best)
-    return replace(params, r_ohmic=params.r_ohmic * r_fac,
-                   q_max=params.q_max * q_fac)
-
-
-# ---------------------------------------------------------------------------
-# preset serialization
-# ---------------------------------------------------------------------------
-
-def save_params(params: BatteryParams, path) -> None:
-    kvconfig.dump({
-        "q_max": params.q_max,
-        "surface_fraction": params.surface_fraction,
-        "diffusion_rate": params.diffusion_rate,
-        "r_ohmic": params.r_ohmic,
-        "ohmic_tau": params.ohmic_tau,
-        "eta_tau": params.eta_tau,
-        "eta_scale_p": params.eta_scale_p,
-        "eta_scale_n": params.eta_scale_n,
-        "i_exchange": params.i_exchange,
-        "ocv_coeffs_p": params.ocv_coeffs_p,
-        "ocv_coeffs_n": params.ocv_coeffs_n,
-        "v_min": params.v_min,
-        "n_cells": params.n_cells,
-    }, path)
-
-
-def load_params(path) -> BatteryParams:
-    raw = kvconfig.load(path)
-    raw["ocv_coeffs_p"] = tuple(raw["ocv_coeffs_p"])
-    raw["ocv_coeffs_n"] = tuple(raw["ocv_coeffs_n"])
-    for key in ("q_max", "surface_fraction", "diffusion_rate", "r_ohmic",
-                "ohmic_tau", "eta_tau", "eta_scale_p", "eta_scale_n",
-                "i_exchange", "v_min"):
-        raw[key] = float(raw[key])
-    raw["n_cells"] = int(raw["n_cells"])
-    return BatteryParams(**raw)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vphm import baselines
-from vphm.baselines import (BoostConfig, Degenerate, ForestConfig, QuantileSet,
+from vphm import baselines, metrics
+from vphm.baselines import (BoostConfig, Degenerate, ForestConfig,
                             pinball_loss, qgb_fit, qlr_fit, qrf_fit,
-                            quantiles_to_distribution, weighted_quantile)
+                            weighted_quantile)
 
 
 class TestPinball:
@@ -42,31 +42,6 @@ class TestWeightedQuantile:
     def test_weights_respected(self):
         assert weighted_quantile([0.0, 1.0], [0.9, 0.1], 0.5) == 0.0
         assert weighted_quantile([0.0, 1.0], [0.1, 0.9], 0.5) == 1.0
-
-
-class TestQuantileSet:
-    def test_crossing_values_sorted(self):
-        qs = QuantileSet((0.1, 0.5, 0.9), np.array([1.0, 0.0, 2.0]))
-        assert np.array_equal(qs.values, [0.0, 1.0, 2.0])
-
-    def test_bad_levels_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileSet((0.5, 0.5), np.array([0.0, 1.0]))
-
-    def test_distribution_midpoint(self):
-        pw = quantiles_to_distribution(QuantileSet((0.25, 0.75),
-                                                   np.array([0.0, 1.0])))
-        assert pw.cdf(0.5) == pytest.approx(0.5)
-
-    @given(st.lists(st.floats(-10, 10), min_size=3, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_distribution_monotone_for_any_values(self, values):
-        levels = np.linspace(0.1, 0.9, len(values))
-        pw = quantiles_to_distribution(QuantileSet(tuple(levels),
-                                                   np.array(values)))
-        grid = np.linspace(-12, 12, 60)
-        cdfs = [pw.cdf(x) for x in grid]
-        assert np.all(np.diff(cdfs) >= 0.0)
 
 
 class TestQlr:
@@ -108,8 +83,9 @@ class TestQlr:
         x = rng.uniform(0, 1, size=(400, 2))
         y = x[:, 0] + rng.normal(0, 0.2, 400)
         model = qlr_fit(x, y)
-        qs = model.predict(x[7])
-        assert np.all(np.diff(qs.values) >= 0.0)
+        qs = metrics.QuantileBatch(model.predict_quantiles(x[7:8]),
+                                   model.levels).values[0]
+        assert np.all(np.diff(qs) >= 0.0)
 
 
 class TestTree:
@@ -152,7 +128,7 @@ class TestQrf:
         cfg = ForestConfig(n_estimators=1, max_depth=0, min_samples_split=2,
                            min_samples_leaf=1, bootstrap=False)
         model = qrf_fit(X, y, cfg, levels=(0.5,))
-        assert model.predict([0.0]).values[0] == 2.0
+        assert np.sort(model.predict_quantiles([[0.0]])[0])[0] == 2.0
 
     def test_depth_zero_forest_gives_global_quantiles(self):
         rng = np.random.default_rng(6)
@@ -162,7 +138,7 @@ class TestQrf:
                            min_samples_leaf=1, bootstrap=False)
         model = qrf_fit(X, y, cfg, levels=(0.25, 0.5, 0.75))
         want = [weighted_quantile(y, np.ones(80), t) for t in (0.25, 0.5, 0.75)]
-        assert np.allclose(model.predict(X[3]).values, want)
+        assert np.allclose(np.sort(model.predict_quantiles(X[3:4])[0]), want)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -187,19 +163,6 @@ class TestQrf:
         qs = model.predict_quantiles(Xt)
         covered = np.mean((qs[:, 0] <= yt) & (yt <= qs[:, 2]))
         assert covered >= 0.93
-
-    def test_functional_predict_matches_method(self):
-        rng = np.random.default_rng(17)
-        X = rng.normal(size=(100, 2))
-        y = rng.normal(size=100)
-        cfg = ForestConfig(n_estimators=5, max_depth=5, min_samples_split=10,
-                           min_samples_leaf=3)
-        model = qrf_fit(X, y, cfg, levels=(0.25, 0.5, 0.75))
-        qs = baselines.qrf_predict(model, X[0])
-        assert np.allclose(qs.values, model.predict(X[0]).values)
-        # custom levels override the fitted grid
-        qs2 = baselines.qrf_predict(model, X[0], levels=(0.5,))
-        assert qs2.values.size == 1
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
@@ -246,7 +209,6 @@ class TestQgb:
                           min_samples_split=20, min_samples_leaf=7)
         model = qgb_fit(self.X, self.y, cfg, level=0.5)
         assert model.predict(self.X[:6]) == pytest.approx(model.init)
-        assert baselines.qgb_predict(model, self.X[0]) == pytest.approx(model.init)
 
     def test_median_converges_on_symmetric_noise(self):
         model = qgb_fit(self.X, self.y, self.cfg, level=0.5)
@@ -266,8 +228,9 @@ class TestQgb:
                             min_samples_split=20, min_samples_leaf=7)
         ens = baselines.qgb_fit_set(self.X, self.y, small,
                                     levels=(0.1, 0.5, 0.9))
-        qs = ens.predict(self.X[0])
-        assert np.all(np.diff(qs.values) >= 0.0)
+        qs = metrics.QuantileBatch(ens.predict_quantiles(self.X[0:1]),
+                                   ens.levels).values[0]
+        assert np.all(np.diff(qs) >= 0.0)
 
 
 class TestSerialization:

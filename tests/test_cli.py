@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from vphm import artifact
+from vphm import artifact, cnn, diagnostics, ingest, physics
 from vphm.cli import main
 
 
@@ -66,6 +66,22 @@ class TestSimulate:
         for name in ("mission-00.csv", "mission-01.csv"):
             assert (out2 / name).read_bytes() \
                 == (sandbox["data"] / name).read_bytes()
+
+    def test_seed_precedence_flag_then_file_then_default(self, tmp_path):
+        def simulate(name, seed_line, *flags):
+            spec = tmp_path / f"{name}.kv"
+            spec.write_text(SCENARIO.replace("seed = 5\n", seed_line),
+                            encoding="utf-8")
+            assert main(["simulate", "--spec", str(spec),
+                         "--out", str(tmp_path / name), *flags]) == 0
+            return (tmp_path / name / "mission.csv").read_bytes()
+
+        seven = simulate("seven", "seed = 7\n")
+        eight = simulate("eight", "seed = 8\n")
+        assert seven != eight
+        assert simulate("seven-flag-8", "seed = 7\n", "--seed", "8") == eight
+        assert simulate("no-seed", "") == simulate("zero", "seed = 0\n")
+        assert simulate("no-seed-flag-7", "", "--seed", "7") == seven
 
     def test_bad_scales_exits_2(self, sandbox, tmp_path):
         assert main(["simulate", "--spec", str(sandbox["spec"]),
@@ -234,6 +250,22 @@ class TestDiagnose:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(r["verdict"] in ("OK", "NOK") for r in rows)
+
+    def test_cnn_picp_equals_forecast_diagnosis(self, sandbox, tmp_path):
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--model", str(sandbox["cnn"]),
+                     "--data", str(sandbox["data"]), "--out", str(out)]) == 0
+        with open(out / "health.csv") as fh:
+            rows = {r["flight"]: r for r in csv.DictReader(fh)}
+        model = cnn.load_model(sandbox["cnn"])
+        params = physics.default_params("lipo-30ah")
+        for path in sorted(sandbox["data"].glob("*.csv")):
+            log = ingest.clean(ingest.parse_flight_csv(path),
+                               flight_id=path.stem)
+            want = diagnostics.diagnose(
+                cnn.forecast_flight(model, log, params, seed=0), log.voltage)
+            assert rows[path.stem]["picp"] == f"{want.picp_score:.3f}"
+            assert rows[path.stem]["verdict"] == want.verdict
 
     def test_threshold_zero_all_ok(self, sandbox, capsys):
         assert main(["diagnose", "--model", str(sandbox["cnn"]),

@@ -151,9 +151,6 @@ class TestMcInfer:
         dec = cnn.mc_infer(model, windows[0].inputs, n=16, seed=2)
         assert dec.sigma_e == 0.0
 
-    def test_three_four_five_combination(self):
-        assert cnn.total_uncertainty(3.0, 4.0) == pytest.approx(5.0)
-
     def test_decomposition_identity(self, trained):
         model, windows = trained
         for k in (0, 3, 7):

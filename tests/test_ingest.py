@@ -101,7 +101,9 @@ class TestClean:
             once = ingest.clean(recs)
         except ingest.AllRecordsInvalid:
             return  # nothing usable survived; nothing to re-clean
-        twice = ingest.clean(once.to_records())
+        twice = ingest.clean([RawRecord(t, i, v) for t, i, v in zip(
+            once.times.tolist(), once.current.tolist(),
+            once.voltage.tolist())])
         assert np.array_equal(once.times, twice.times)
         assert np.array_equal(once.current, twice.current)
         assert np.array_equal(once.voltage, twice.voltage)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from vphm import metrics
-from vphm.metrics import GaussianDist, PiecewiseCdf, QuantileBatch
+from vphm.metrics import GaussianBatch, GaussianDist, PiecewiseCdf, QuantileBatch
 
 
 def crps_quadrature_gaussian(mu, sigma, y):
@@ -268,16 +271,91 @@ class TestQuantileBatch:
             assert np.array_equal(got, want)
 
 
+def scalar_gaussian_crps(mu, sigma, y):
+    """The closed form on Python floats with math.exp: the reference the
+    vectorized batch is held to."""
+    z = (y - mu) / sigma
+    phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return sigma * (z * (2.0 * float(ndtr(z)) - 1.0) + 2.0 * phi
+                    - 1.0 / math.sqrt(math.pi))
+
+
+def random_gaussians(seed, rows=2000):
+    rng = np.random.default_rng(seed)
+    mu = rng.normal(0.0, 3.0, rows)
+    sigma = rng.uniform(1e-3, 2.0, rows)
+    ys = mu + sigma * rng.normal(0.0, 4.0, rows)
+    return mu, sigma, ys
+
+
+class TestGaussianBatch:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crps_matches_scalar_closed_form(self, seed):
+        mu, sigma, ys = random_gaussians(seed)
+        got = GaussianBatch(mu, sigma).crps(ys)
+        want = np.array([scalar_gaussian_crps(float(m), float(s), float(y))
+                         for m, s, y in zip(mu, sigma, ys)])
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_quantile_matches_ndtri(self):
+        mu, sigma, _ = random_gaussians(5, rows=50)
+        batch = GaussianBatch(mu, sigma)
+        for p in (0.0, 1e-6, 0.025, 0.5, 0.975, 1.0):
+            assert np.array_equal(batch.quantile(p), mu + sigma * ndtri(p))
+        assert np.all(batch.quantile(0.0) == -np.inf)
+        assert np.all(batch.quantile(1.0) == np.inf)
+
+    def test_variance_bit_equal_to_sigma_squared(self):
+        _, sigma, _ = random_gaussians(6, rows=20000)
+        want = np.array([float(s) ** 2 for s in sigma])
+        assert GaussianBatch(np.zeros_like(sigma), sigma).variance().tobytes() \
+            == want.tobytes()
+
+    def test_len_and_length_mismatch(self):
+        batch = GaussianBatch(np.zeros(5), np.ones(5))
+        assert len(batch) == 5
+        with pytest.raises(metrics.LengthMismatch):
+            GaussianBatch(np.zeros(5), np.ones(4))
+        with pytest.raises(metrics.LengthMismatch):
+            batch.crps(np.zeros(4))
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.calibration_curve(batch, np.zeros(6))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_sigma_rejected(self, bad):
+        with pytest.raises(ValueError):
+            GaussianBatch([0.0, 1.0], [1.0, bad])
+        with pytest.raises(ValueError):
+            GaussianDist(0.0, bad)
+
+    def test_scores_equal_per_row_distributions(self):
+        mu, sigma, ys = random_gaussians(7, rows=300)
+        batch = GaussianBatch(mu, sigma)
+        rows = [GaussianDist(m, s) for m, s in zip(mu, sigma)]
+        assert metrics.crps_summary(batch, ys) == metrics.crps_summary(rows, ys)
+        assert metrics.sharpness(batch) == metrics.sharpness(rows)
+        assert [d.crps(y) for d, y in zip(rows, ys)] == batch.crps(ys).tolist()
+
+    def test_concat_pools_batches(self):
+        mu, sigma, ys = random_gaussians(8, rows=30)
+        parts = [GaussianBatch(mu[:10], sigma[:10]),
+                 GaussianBatch(mu[10:], sigma[10:])]
+        pooled = GaussianBatch.concat(parts)
+        assert pooled.crps(ys).tolist() == GaussianBatch(mu, sigma).crps(ys).tolist()
+        values, levels, _ = random_batch(0, rows=30)
+        q = QuantileBatch.concat([QuantileBatch(values[:7], levels),
+                                  QuantileBatch(values[7:], levels)])
+        assert np.array_equal(q.values, QuantileBatch(values, levels).values)
+        with pytest.raises(ValueError):
+            QuantileBatch.concat([QuantileBatch(values, levels),
+                                  QuantileBatch(values, levels / 2)])
+
+
 class TestCrpsSummary:
     def test_two_point_example(self):
-        class Fixed:
-            def __init__(self, s):
-                self.s = s
-
-            def crps(self, y):
-                return self.s
-
-        mean, std = metrics.crps_summary([Fixed(0.1), Fixed(0.3)], [0.0, 0.0])
+        # the CRPS of a point mass at v is |v - y|: 0.1 and 0.3 here
+        dists = [PiecewiseCdf([v, v], [0.25, 0.75]) for v in (0.1, 0.3)]
+        mean, std = metrics.crps_summary(dists, [0.0, 0.0])
         assert mean == pytest.approx(0.2)
         assert std == pytest.approx(0.1)
 
@@ -335,9 +413,13 @@ class TestSharpness:
         assert metrics.sharpness(dists) == pytest.approx(0.2)
 
     def test_mixed_variances(self):
-        degenerate = PiecewiseCdf([1.0, 1.0], [0.3, 0.7])  # variance 0
-        spread = GaussianDist(0, np.sqrt(0.08))
+        degenerate = PiecewiseCdf([1.0, 1.0], [0.25, 0.75])  # variance 0
+        # mass 1/4 on each of -c and c, 1/2 uniform between: variance 2c²/3
+        c = np.sqrt(0.12)
+        spread = PiecewiseCdf([-c, c], [0.25, 0.75])
         assert metrics.sharpness([degenerate, spread]) == pytest.approx(0.2)
+        with pytest.raises(TypeError):
+            metrics.sharpness([degenerate, GaussianDist(0, np.sqrt(0.08))])
 
     @given(st.floats(0.1, 10))
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,40 +135,3 @@ class TestSimulate:
         assert np.all(errs > 0)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 3.5
-
-
-class TestCalibrate:
-    def _step_profile(self):
-        # alternating load so the ohmic resistance is identifiable
-        return np.tile(np.concatenate([np.full(50, 2.0), np.full(50, 10.0)]), 6)
-
-    def _log_from(self, params, profile):
-        sim = physics.simulate(profile, 1.0, params, initial_soc=1.0)
-        return SimpleNamespace(current=profile, voltage=sim.voltage,
-                               sample_period=1.0)
-
-    def test_round_trip_same_params(self, small_params):
-        log = self._log_from(small_params, self._step_profile())
-        fitted = physics.calibrate(small_params, log)
-        assert fitted.r_ohmic == pytest.approx(small_params.r_ohmic, rel=0.01)
-        assert fitted.q_max == pytest.approx(small_params.q_max, rel=0.01)
-
-    def test_recovers_doubled_resistance(self, small_params):
-        truth = replace(small_params, r_ohmic=2.0 * small_params.r_ohmic)
-        log = self._log_from(truth, self._step_profile())
-        fitted = physics.calibrate(small_params, log)
-        assert fitted.r_ohmic == pytest.approx(truth.r_ohmic, rel=0.05)
-
-    def test_short_log_degenerate(self, small_params):
-        log = self._log_from(small_params, np.full(10, 2.0))
-        with pytest.raises(physics.Degenerate):
-            physics.calibrate(small_params, log)
-
-
-class TestPresetFiles:
-    def test_save_load_round_trip(self, small_params, tmp_path):
-        path = tmp_path / "cell.params"
-        physics.save_params(small_params, path)
-        loaded = physics.load_params(path)
-        assert loaded == small_params
-        assert "q_max = 3600.0" in path.read_text()
