@@ -31,7 +31,7 @@ USAGE_ERRORS = (UsageError, FileNotFoundError, NotADirectoryError,
                 artifact.ArtifactError, cnn.InvalidConfig,
                 ingest.EmptyFile, ingest.MissingColumn, ingest.UnknownFlight,
                 ingest.TooShort, ingest.AllRecordsInvalid,
-                physics.UnknownChemistry, KeyError)
+                physics.UnknownChemistry)
 
 MODEL_KINDS = ("cnn", "qlr", "qrf", "qgb")
 
@@ -148,9 +148,8 @@ def interval_levels(z: float) -> tuple:
 class Forecast:
     """One model's forecast of one flight. The first ``warm`` samples are
     physics-only and unscored; ``physics_v`` covers every sample, the other
-    arrays the scored rows. ``extra`` holds the model's own ``predict``
-    columns; a column that covers only the scored rows leaves the warm-up
-    cells blank."""
+    arrays, and the model's own ``predict`` columns in ``extra``, cover the
+    scored rows."""
 
     physics_v: np.ndarray
     warm: int
@@ -163,27 +162,26 @@ class Forecast:
 
 
 def flight_forecast(kind, model, meta, log, conf, seed) -> Forecast:
-    """The forecast of ``log`` by a loaded model, with its central interval
-    at +/- z sigma (Gaussian) or the equivalent quantile levels. The
-    initial state of charge the model was trained at wins over the run
-    config's."""
+    """The forecast of ``log`` by a model and meta from ``_load_any_model``,
+    with its central interval at +/- z sigma (Gaussian) or the equivalent
+    quantile levels. The initial state of charge the model was trained at
+    wins over the run config's."""
     params = battery_params(conf)
     initial_soc = float(meta.get("initial_soc", conf["initial_soc"]))
     z = float(conf["z"])
+    warm = meta["window_size"] - 1
     if kind == "cnn":
         fc = cnn.forecast_flight(model, log, params, seed=seed,
                                  initial_soc=initial_soc)
-        warm = model.config.window_size - 1
         physics_v = fc.physics_voltage
         center = fc.corrected_voltage[warm:]
         sigma = fc.sigma_tu[warm:]
         # floored for scoring only: a batch rejects sigma = 0
         dists = metrics.GaussianBatch(center, np.maximum(sigma, 1e-12))
         lower, upper = center - z * sigma, center + z * sigma
-        extra = {"sigma_a": fc.sigma_a, "sigma_e": fc.sigma_e,
-                 "sigma_tu": fc.sigma_tu}
+        extra = {name: getattr(fc, name)[warm:]
+                 for name in ("sigma_a", "sigma_e", "sigma_tu")}
     else:
-        warm = int(meta["window_size"]) - 1
         physics_v = physics.simulate(log.current, log.sample_period, params,
                                      initial_soc).voltage
         x, _ = flatten_features(
@@ -272,10 +270,19 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path):
+    """(kind, model, meta) of the artifact at ``path``. ``meta`` gains the
+    model's ``window_size`` (a cnn's from its config). A manifest key or
+    array the model needs and the artifact lacks is an ``ArtifactError``."""
     kind, meta, arrays = artifact.load_artifact(path)
     build = cnn.model_from_artifact if kind == "cnn" \
         else baselines.baseline_from_artifact
-    return kind, build(kind, meta, arrays, path), meta
+    try:
+        model = build(kind, meta, arrays, path)
+        window = model.config.window_size if kind == "cnn" \
+            else int(meta["window_size"])
+    except KeyError as exc:
+        raise artifact.ArtifactError(f"{path}: artifact has no {exc}") from exc
+    return kind, model, {**meta, "window_size": window}
 
 
 def cmd_predict(args) -> int:
@@ -298,8 +305,8 @@ def cmd_predict(args) -> int:
             writer.writerow([
                 repr(float(log.times[i])), repr(float(fc.physics_v[i])),
                 repr(float(corrected)),
-                *(repr(float(col[i - n + col.size])) if i >= n - col.size
-                  else "" for col in fc.extra.values()),
+                *("" if warm else repr(float(col[i - fc.warm]))
+                  for col in fc.extra.values()),
                 int(warm)])
     print(f"wrote {out}")
     return 0

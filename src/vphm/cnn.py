@@ -4,7 +4,9 @@ Predicts the residual between measured and physics-simulated voltage from a
 sliding window of (current, physics voltage), with a Gaussian head that
 carries the aleatoric variance. Keeping dropout active at inference time
 and averaging many stochastic passes yields the epistemic spread; the two
-are combined into a total uncertainty per timestep.
+are combined into a total uncertainty per timestep. The inference passes
+build no autodiff graph, and the layers before the first dropout run once
+per batch, since they are the same in every pass.
 
 Input windows are normalized per feature with training-set statistics that
 are stored in the model artifact; raw ampere/volt scales make the
@@ -204,7 +206,11 @@ def _mc_forward(model: CorrectionModel, x_norm: np.ndarray, n: int, seed):
     """n stochastic passes over a normalized batch; returns the per-window
     Monte Carlo decomposition arrays (mean, aleatoric var, epistemic var).
 
-    One RNG stream drives all passes, advanced deterministically.
+    One RNG stream drives all passes, advanced deterministically: each
+    pass draws its dropout masks layer by layer, as ``model.forward`` with
+    ``training=True`` does. The parameters are frozen while the passes run,
+    so no autodiff graph is built, and the layers before the first dropout
+    draw nothing and run once for all passes.
     """
     if n < 1:
         raise ValueError("need at least one Monte Carlo pass")
@@ -212,10 +218,25 @@ def _mc_forward(model: CorrectionModel, x_norm: np.ndarray, n: int, seed):
     nb = x_norm.shape[0]
     mus = np.empty((n, nb))
     s2s = np.empty((n, nb))
-    for i in range(n):
-        pred = model.forward(x_norm, rng=rng, training=True)
-        mus[i] = pred.mu.data
-        s2s[i] = pred.sigma2_a.data
+    split = next((i for i, layer in enumerate(model.layers)
+                  if isinstance(layer, nn.Dropout)), len(model.layers))
+    params = model.params
+    trainable = [p.requires_grad for p in params]
+    try:
+        for p in params:
+            p.requires_grad = False
+        shared = Tensor(x_norm)
+        for layer in model.layers[:split]:
+            shared = layer.forward(shared, rng=rng, training=True)
+        for i in range(n):
+            pred = shared
+            for layer in model.layers[split:]:
+                pred = layer.forward(pred, rng=rng, training=True)
+            mus[i] = pred.mu.data
+            s2s[i] = pred.sigma2_a.data
+    finally:
+        for p, flag in zip(params, trainable):
+            p.requires_grad = flag
     y_hat = mus.mean(axis=0)
     # identical passes (rate 0 or n == 1) must give exactly zero epistemic
     # spread; mus.var() would leave summation jitter

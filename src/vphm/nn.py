@@ -5,6 +5,9 @@ ReLU, inverted dropout, adaptive average pooling, dense layers and a
 two-neuron Gaussian output head (mean + exp-activated variance). All
 layers build autodiff graphs on :class:`vphm.autodiff.Tensor`, so the
 heteroscedastic negative-log-likelihood loss is differentiable end to end.
+A layer records a graph node only when one of its inputs or parameters
+requires a gradient; with every parameter frozen, a forward pass computes
+values and keeps nothing alive for a backward pass.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import ShapeMismatch, Tensor
 
@@ -68,6 +72,12 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
     ``x`` is (channels, length) or (batch, channels, length); ``weight`` is
     (filters, channels, kernel). `same` zero padding keeps the output length
     equal to the input length.
+
+    The convolution is one matrix product (im2col): the padded input is cut
+    into (batch * length, channels * kernel) columns, multiplied by the
+    weight matrix (filters, channels * kernel). The backward pass reuses the
+    columns for the weight gradient and scatters the column gradient back
+    onto the input with one slice-add per kernel tap.
     """
     if padding != "same":
         raise ValueError(f"unsupported padding mode {padding!r}")
@@ -85,11 +95,16 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
         raise ShapeMismatch(f"conv1d: bias shape {bias.data.shape} != ({nf},)")
 
     pad = kernel // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
-    val = np.zeros((nb, nf, length))
-    for k in range(kernel):
-        val += np.einsum("fc,bcl->bfl", weight.data[:, :, k], xp[:, :, k:k + length])
-    val += bias.data[None, :, None]
+    padded = (nb, length + 2 * pad, nc)
+    xp = np.zeros(padded)
+    xp[:, pad:pad + length, :] = xd.transpose(0, 2, 1)
+    # im2col: row (b, l) holds xp[b, l + k, c] in the (c, k) order of weight
+    cols = sliding_window_view(xp, kernel, axis=1).reshape(nb * length,
+                                                          nc * kernel)
+    w2 = weight.data.reshape(nf, nc * kernel)
+    val = cols @ w2.T
+    val += bias.data
+    val = val.reshape(nb, length, nf).transpose(0, 2, 1)
 
     out = Tensor(val[0] if single else val)
     out.requires_grad = x.requires_grad or weight.requires_grad or bias.requires_grad
@@ -98,19 +113,17 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
 
         def bwd(g):
             go = g[None, :, :] if single else g
+            go2 = go.transpose(0, 2, 1).reshape(nb * length, nf)
             if bias.requires_grad:
                 bias._accumulate(go.sum(axis=(0, 2)))
             if weight.requires_grad:
-                gw = np.zeros_like(weight.data)
-                for k in range(kernel):
-                    gw[:, :, k] = np.einsum("bfl,bcl->fc", go, xp[:, :, k:k + length])
-                weight._accumulate(gw)
+                weight._accumulate((go2.T @ cols).reshape(nf, nc, kernel))
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
+                gcols = (go2 @ w2).reshape(nb, length, nc, kernel)
+                gxp = np.zeros(padded)
                 for k in range(kernel):
-                    gxp[:, :, k:k + length] += np.einsum(
-                        "fc,bfl->bcl", weight.data[:, :, k], go)
-                gx = gxp[:, :, pad:pad + length]
+                    gxp[:, k:k + length, :] += gcols[:, :, :, k]
+                gx = gxp[:, pad:pad + length, :].transpose(0, 2, 1)
                 x._accumulate(gx[0] if single else gx)
 
         out._backward = bwd

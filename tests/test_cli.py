@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vphm import artifact, cnn, diagnostics, ingest, physics
+import vphm
+from vphm import artifact, cli, cnn, diagnostics, ingest, physics
 from vphm.cli import main
 
 
@@ -148,6 +153,11 @@ class TestPredict:
         assert rows[0]["uncorrected"] == "1"
         assert rows[20]["uncorrected"] == "0"
         assert float(rows[20]["sigma_tu"]) > 0.0
+        # warm-up rows leave the model columns blank, as baselines do
+        for row in rows[:9]:
+            assert [row[c] for c in ("sigma_a", "sigma_e", "sigma_tu")] \
+                == ["", "", ""]
+        assert rows[9]["uncorrected"] == "0" and rows[9]["sigma_a"] != ""
 
     def test_baseline_prediction_columns(self, sandbox, tmp_path):
         out = tmp_path / "pred_qlr.csv"
@@ -195,6 +205,63 @@ class TestBadData:
         assert main(["predict", "--model", str(model), "--flight",
                      str(sandbox["data"] / "mission-00.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+
+class TestArtifactKeys:
+    """A key or array missing from an artifact is a usage error (exit 2);
+    a KeyError raised by the program itself is a runtime failure (exit 1)."""
+
+    def predict(self, sandbox, model, tmp_path):
+        return main(["predict", "--model", str(model), "--flight",
+                     str(sandbox["data"] / "mission-00.csv"),
+                     "--out", str(tmp_path / "p.csv")])
+
+    def test_cnn_artifact_without_array_exits_2(self, sandbox, tmp_path):
+        kind, meta, arrays = artifact.load_artifact(sandbox["cnn"])
+        del arrays["layer00/p0"]
+        model = tmp_path / "no-weights.vphm"
+        artifact.save_artifact(model, kind, meta, arrays)
+        assert self.predict(sandbox, model, tmp_path) == 2
+
+    def test_baseline_artifact_without_window_size_exits_2(self, sandbox,
+                                                           tmp_path):
+        kind, meta, arrays = artifact.load_artifact(sandbox["qlr"])
+        del meta["window_size"]
+        model = tmp_path / "no-window.vphm"
+        artifact.save_artifact(model, kind, meta, arrays)
+        assert self.predict(sandbox, model, tmp_path) == 2
+
+    def test_internal_key_error_exits_1(self, sandbox, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "flight_forecast", broken)
+        assert self.predict(sandbox, sandbox["cnn"], tmp_path) == 1
+
+
+class TestBlasThreads:
+    def test_train_and_predict_bytes_do_not_depend_on_thread_count(
+            self, sandbox, tmp_path):
+        src = str(Path(vphm.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            model = tmp_path / f"cnn-{threads}.vphm"
+            pred = tmp_path / f"pred-{threads}.csv"
+            for argv in (["train", "--data", str(sandbox["data"]), "--kind",
+                          "cnn", "--out", str(model), "--epochs", "3",
+                          "--seed", "1"],
+                         ["predict", "--model", str(model), "--flight",
+                          str(sandbox["data"] / "mission-00.csv"),
+                          "--out", str(pred)]):
+                subprocess.run([sys.executable, "-m", "vphm.cli", *argv],
+                               env=env, check=True, capture_output=True,
+                               timeout=300)
+            outputs.append((model.read_bytes(), pred.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

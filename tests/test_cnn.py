@@ -184,6 +184,80 @@ class TestMcInfer:
         assert inside >= 0.99 * 50 - 1e-9
 
 
+def taped_mc_forward(model, x_norm, n, seed):
+    """Reference: n full taped ``model.forward`` passes from one stream."""
+    rng = np.random.default_rng(seed)
+    mus = np.empty((n, x_norm.shape[0]))
+    s2s = np.empty_like(mus)
+    for i in range(n):
+        pred = model.forward(x_norm, rng=rng, training=True)
+        mus[i] = pred.mu.data
+        s2s[i] = pred.sigma2_a.data
+    spread = np.ptp(mus, axis=0)
+    return (mus.mean(axis=0), s2s.mean(axis=0),
+            np.where(spread == 0.0, 0.0, mus.var(axis=0)))
+
+
+@pytest.fixture(scope="module")
+def trained_default():
+    """The default architecture, briefly trained."""
+    windows = noisy_windows(np.random.default_rng(12), 120, window=10)
+    cfg = CnnConfig(epochs=3)
+    model = cnn.build(cfg, seed=4)
+    cnn.train(model, windows, cfg, seed=4)
+    return model, model.normalize(np.stack([w.inputs for w in windows]))
+
+
+class TestMcForwardWithoutGraph:
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_matches_taped_passes(self, trained_default, n):
+        model, x = trained_default
+        got = cnn._mc_forward(model, x, n, seed=21)
+        want = taped_mc_forward(model, x, n, seed=21)
+        for g, w in zip(got, want):
+            scale = max(float(np.max(np.abs(w))), 1e-300)
+            assert float(np.max(np.abs(g - w))) <= 1e-12 * scale
+
+    def test_params_stay_trainable(self, trained_default):
+        model, x = trained_default
+        cnn._mc_forward(model, x, 3, seed=0)
+        assert all(p.requires_grad for p in model.params)
+
+    def test_params_stay_trainable_when_a_pass_raises(self, trained_default,
+                                                      monkeypatch):
+        model, x = trained_default
+        head = model.layers[-2]
+        real = head.forward
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(head, "forward", flaky)
+        with pytest.raises(RuntimeError, match="boom"):
+            cnn._mc_forward(model, x, 3, seed=0)
+        assert all(p.requires_grad for p in model.params)
+
+    def test_training_after_inference_is_unchanged(self):
+        windows = noisy_windows(np.random.default_rng(3), 48)
+        cfg = CnnConfig(window_size=6, filters=3, fc_nodes=(6,), epochs=3,
+                        batch_size=16, mc_samples=5)
+        runs = []
+        for infer in (True, False):
+            model = cnn.build(cfg, seed=6)
+            cnn.train(model, windows, cfg, seed=6)
+            if infer:
+                x = model.normalize(np.stack([w.inputs for w in windows]))
+                cnn._mc_forward(model, x, 5, seed=1)
+            cnn.train(model, windows, cfg, seed=7)
+            runs.append([p.data.copy() for p in model.params])
+        for pa, pb in zip(*runs):
+            assert np.array_equal(pa, pb)
+
+
 class TestAleatoricMonotonicity:
     def test_sigma_a_grows_with_generator_noise(self):
         cfg = CnnConfig(window_size=6, filters=4, fc_nodes=(8, 4), epochs=60,

@@ -68,6 +68,74 @@ class TestConv1d:
         assert max_rel_error(got, want) < 1e-4
 
 
+def loop_conv1d(x, w, b, g):
+    """Reference: per-sample, per-tap cross-correlation with `same` zero
+    padding, and the gradients of sum(out * g) with respect to x, w and b."""
+    nb, nc, length = x.shape
+    nf, _, kernel = w.shape
+    pad = kernel // 2
+    out = np.zeros((nb, nf, length))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for s in range(nb):
+        xp = np.zeros((nc, length + 2 * pad))
+        xp[:, pad:pad + length] = x[s]
+        gxp = np.zeros_like(xp)
+        for k in range(kernel):
+            out[s] += w[:, :, k] @ xp[:, k:k + length]
+            gw[:, :, k] += g[s] @ xp[:, k:k + length].T
+            gxp[:, k:k + length] += w[:, :, k].T @ g[s]
+        out[s] += b[:, None]
+        gx[s] = gxp[:, pad:pad + length]
+    return out, gx, gw, g.sum(axis=(0, 2))
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+class TestConv1dAgainstLoop:
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("nb", [1, 32, 591])
+    def test_output_and_gradients_match_loop(self, kernel, nb):
+        rng = np.random.default_rng(kernel * 1000 + nb)
+        x = rand_tensor(rng, (nb, 16, 10))
+        w = rand_tensor(rng, (16, 16, kernel), scale=0.3)
+        b = rand_tensor(rng, (16,), scale=0.1)
+        g = rng.normal(size=(nb, 16, 10))
+        out = nn.conv1d_forward(x, w, b)
+        (out * Tensor(g)).sum().backward()
+        want = loop_conv1d(x.data, w.data, b.data, g)
+        for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert got.shape == ref.shape
+            assert_rel_close(got, ref)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_single_window_matches_loop(self, kernel):
+        rng = np.random.default_rng(kernel)
+        x = rand_tensor(rng, (2, 10))
+        w = rand_tensor(rng, (16, 2, kernel), scale=0.3)
+        b = rand_tensor(rng, (16,), scale=0.1)
+        g = rng.normal(size=(16, 10))
+        out = nn.conv1d_forward(x, w, b)
+        (out * Tensor(g)).sum().backward()
+        ref_out, ref_gx, ref_gw, ref_gb = loop_conv1d(
+            x.data[None], w.data, b.data, g[None])
+        for got, ref in zip((out.data, x.grad, w.grad, b.grad),
+                            (ref_out[0], ref_gx[0], ref_gw, ref_gb)):
+            assert got.shape == ref.shape
+            assert_rel_close(got, ref)
+
+    def test_frozen_operands_build_no_graph(self):
+        rng = np.random.default_rng(0)
+        out = nn.conv1d_forward(Tensor(rng.normal(size=(4, 2, 10))),
+                                Tensor(rng.normal(size=(3, 2, 3))),
+                                Tensor(np.zeros(3)))
+        assert not out.requires_grad
+        assert out._backward is None and out._prev == ()
+
+
 class TestAdaptiveAvgPool:
     def test_simple_mean(self):
         out = nn.adaptive_avg_pool(Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])))
