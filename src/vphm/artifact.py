@@ -13,10 +13,12 @@ import struct
 
 import numpy as np
 
+from . import InputError
+
 MAGIC = b"VPHM1"
 
 
-class ArtifactError(ValueError):
+class ArtifactError(InputError):
     """Corrupt, truncated or wrong-version artifact file."""
 
 

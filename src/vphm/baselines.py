@@ -20,6 +20,10 @@ from . import artifact
 
 DEFAULT_LEVELS = tuple([0.025] + [round(0.05 * k, 3) for k in range(1, 20)]
                        + [0.975])
+QLR_EPOCHS = 400
+QLR_INITIAL_STEP = 0.5
+QRF_CHUNK = 256     # query rows per (queries x training points) weight matrix
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
 class Degenerate(ValueError):
@@ -66,8 +70,7 @@ class QlrModel:
         return z @ self.coef.T + self.intercept
 
 
-def qlr_fit(X, y, levels=DEFAULT_LEVELS, epochs: int = 400,
-            initial_step: float = 0.5) -> QlrModel:
+def qlr_fit(X, y, levels=DEFAULT_LEVELS) -> QlrModel:
     """Per-level linear pinball-loss minimization by subgradient descent.
 
     Steps that would increase the training loss are rejected and the step
@@ -90,9 +93,9 @@ def qlr_fit(X, y, levels=DEFAULT_LEVELS, epochs: int = 400,
     for li, tau in enumerate(levels):
         w = np.zeros(n_feat)
         b = float(weighted_quantile(y, np.ones(n), tau))
-        step = initial_step
+        step = QLR_INITIAL_STEP
         loss = float(np.mean(pinball_loss(y, z @ w + b, tau)))
-        for _ in range(epochs):
+        for _ in range(QLR_EPOCHS):
             q = z @ w + b
             # dL/dq = -tau where y >= q, else 1 - tau
             dq = np.where(y >= q, -tau, 1.0 - tau)
@@ -141,17 +144,6 @@ class Tree:
 
     def predict(self, X) -> np.ndarray:
         return self.value[self.apply(X)]
-
-    def packed(self) -> np.ndarray:
-        return np.stack([self.feature.astype(np.float64), self.threshold,
-                         self.left.astype(np.float64),
-                         self.right.astype(np.float64), self.value])
-
-    @classmethod
-    def from_packed(cls, arr) -> "Tree":
-        return cls(feature=arr[0].astype(np.int64), threshold=arr[1].copy(),
-                   left=arr[2].astype(np.int64), right=arr[3].astype(np.int64),
-                   value=arr[4].copy())
 
 
 def _best_split(xo_mat, yo_mat, feature_ids, min_leaf):
@@ -305,14 +297,13 @@ class QrfModel:
                           1.0 / (n_trees * members.size))
         return w
 
-    def predict_quantiles(self, X, chunk: int = 256) -> np.ndarray:
-        # chunked so the (queries x training points) weight matrix stays small
+    def predict_quantiles(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         order = np.argsort(self.y_train, kind="stable")
         ys = self.y_train[order]
         out = np.empty((X.shape[0], len(self.levels)))
-        for start in range(0, X.shape[0], chunk):
-            block = X[start:start + chunk]
+        for start in range(0, X.shape[0], QRF_CHUNK):
+            block = X[start:start + QRF_CHUNK]
             w = self.weights_for(block)
             cw = np.cumsum(w[:, order], axis=1)
             cw /= cw[:, -1:]
@@ -436,31 +427,42 @@ def qgb_fit_set(X, y, config: BoostConfig = None,
 # artifact round-trips
 # ---------------------------------------------------------------------------
 
+def _tree_table(trees) -> dict:
+    """Each Tree field concatenated over the trees (child ids stay local to
+    their tree), plus each tree's node count."""
+    table = {f"tree/{name}": np.concatenate([getattr(t, name) for t in trees])
+             for name in TREE_FIELDS}
+    table["tree/nodes"] = np.array([t.feature.size for t in trees])
+    return table
+
+
+def _trees(arrays) -> list:
+    """The trees of a node table written by ``_tree_table``."""
+    cuts = np.cumsum(arrays["tree/nodes"].astype(np.int64))[:-1]
+    columns = [np.split(arrays[f"tree/{name}"], cuts) for name in TREE_FIELDS]
+    return [Tree(feature=f.astype(np.int64), threshold=thr,
+                 left=left.astype(np.int64), right=right.astype(np.int64),
+                 value=value) for f, thr, left, right, value in zip(*columns)]
+
+
 def save_baseline(model, path, meta: dict = None) -> None:
     meta = dict(meta or {})
+    meta["levels"] = list(model.levels)
     if isinstance(model, QlrModel):
-        meta["levels"] = list(model.levels)
         artifact.save_artifact(path, "qlr", meta, {
             "coef": model.coef, "intercept": model.intercept,
             "x_mean": model.x_mean, "x_std": model.x_std})
     elif isinstance(model, QrfModel):
-        meta["levels"] = list(model.levels)
         meta["config"] = vars(model.config)
-        arrays = {"y_train": model.y_train}
-        for t, (tree, idx, leaf) in enumerate(zip(model.trees, model.sample_idx,
-                                                  model.sample_leaf)):
-            arrays[f"tree{t:03d}/nodes"] = tree.packed()
-            arrays[f"tree{t:03d}/idx"] = idx.astype(np.float64)
-            arrays[f"tree{t:03d}/leaf"] = leaf.astype(np.float64)
-        artifact.save_artifact(path, "qrf", meta, arrays)
+        artifact.save_artifact(path, "qrf", meta, {
+            "y_train": model.y_train, **_tree_table(model.trees),
+            "sample_idx": np.stack(model.sample_idx),
+            "sample_leaf": np.stack(model.sample_leaf)})
     elif isinstance(model, QgbSet):
-        meta["levels"] = list(model.levels)
         meta["config"] = vars(model.models[0].config)
-        arrays = {"init": np.array([m.init for m in model.models])}
-        for li, m in enumerate(model.models):
-            for s, tree in enumerate(m.stages):
-                arrays[f"lvl{li:02d}/stage{s:03d}"] = tree.packed()
-        artifact.save_artifact(path, "qgb", meta, arrays)
+        artifact.save_artifact(path, "qgb", meta, {
+            "init": np.array([m.init for m in model.models]),
+            **_tree_table([t for m in model.models for t in m.stages])})
     else:
         raise TypeError(f"unsupported baseline model {type(model).__name__}")
 
@@ -477,28 +479,17 @@ def baseline_from_artifact(kind, meta, arrays, path):
                         intercept=arrays["intercept"],
                         x_mean=arrays["x_mean"], x_std=arrays["x_std"])
     if kind == "qrf":
-        cfg = ForestConfig(**meta["config"])
-        trees, idxs, leaves = [], [], []
-        t = 0
-        while f"tree{t:03d}/nodes" in arrays:
-            trees.append(Tree.from_packed(arrays[f"tree{t:03d}/nodes"]))
-            idxs.append(arrays[f"tree{t:03d}/idx"].astype(np.int64))
-            leaves.append(arrays[f"tree{t:03d}/leaf"].astype(np.int64))
-            t += 1
-        return QrfModel(config=cfg, trees=trees, sample_idx=idxs,
-                        sample_leaf=leaves, y_train=arrays["y_train"],
-                        levels=levels)
+        return QrfModel(config=ForestConfig(**meta["config"]),
+                        trees=_trees(arrays),
+                        sample_idx=list(arrays["sample_idx"].astype(np.int64)),
+                        sample_leaf=list(arrays["sample_leaf"].astype(np.int64)),
+                        y_train=arrays["y_train"], levels=levels)
     if kind == "qgb":
         cfg = BoostConfig(**meta["config"])
-        inits = arrays["init"]
-        models = []
-        for li, level in enumerate(levels):
-            stages = []
-            s = 0
-            while f"lvl{li:02d}/stage{s:03d}" in arrays:
-                stages.append(Tree.from_packed(arrays[f"lvl{li:02d}/stage{s:03d}"]))
-                s += 1
-            models.append(QgbModel(config=cfg, level=level,
-                                   init=float(inits[li]), stages=stages))
-        return QgbSet(levels=levels, models=models)
+        trees = _trees(arrays)
+        n = cfg.n_estimators
+        return QgbSet(levels=levels, models=[
+            QgbModel(config=cfg, level=level, init=float(arrays["init"][li]),
+                     stages=trees[li * n:(li + 1) * n])
+            for li, level in enumerate(levels)])
     raise artifact.ArtifactError(f"{path}: unknown model kind {kind!r}")

@@ -13,27 +13,25 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import artifact, baselines, cnn, diagnostics, ingest, kvconfig, metrics
-from . import physics, synthgen
+from . import InputError, artifact, baselines, cnn, diagnostics, ingest
+from . import kvconfig, metrics, physics, synthgen
 
 
-class UsageError(ValueError):
-    """Bad invocation, config or input data (exit code 2)."""
+class UsageError(InputError):
+    """Bad invocation or config value (exit code 2)."""
 
 
-USAGE_ERRORS = (UsageError, FileNotFoundError, NotADirectoryError,
-                artifact.ArtifactError, cnn.InvalidConfig,
-                ingest.EmptyFile, ingest.MissingColumn, ingest.UnknownFlight,
-                ingest.TooShort, ingest.AllRecordsInvalid,
-                physics.UnknownChemistry)
+USAGE_ERRORS = (InputError, FileNotFoundError, NotADirectoryError)
 
 MODEL_KINDS = ("cnn", "qlr", "qrf", "qgb")
+# how far a baseline interval level may fall outside the model's level grid
+LEVEL_TOLERANCE = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +48,8 @@ CONFIG_DEFAULTS = {
 
 def load_run_config(args) -> dict:
     """Defaults, overridden by the --config file, overridden by CLI flags."""
-    conf = dict(CONFIG_DEFAULTS)
-    cnn_defaults = cnn.CnnConfig()
-    for key in ("window_size", "epochs", "batch_size", "learning_rate",
-                "dropout_rate", "mc_samples", "filters", "kernel",
-                "conv_layers"):
-        conf[key] = getattr(cnn_defaults, key)
-    conf["fc_nodes"] = cnn_defaults.fc_nodes
+    conf = dict(CONFIG_DEFAULTS, **asdict(cnn.CnnConfig()))
+    del conf["padding"]                 # the only padding is `same`
 
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -66,6 +59,10 @@ def load_run_config(args) -> dict:
         unknown = set(file_conf) - set(conf)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_conf.items():
+            numbers = (int, float, tuple) if key == "fc_nodes" else (int, float)
+            if not isinstance(conf[key], str) and not isinstance(value, numbers):
+                raise UsageError(f"config key {key} needs a number, got {value!r}")
         conf.update(file_conf)
 
     for key in conf:
@@ -101,12 +98,37 @@ def battery_params(conf: dict) -> physics.BatteryParams:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def write_flight_csv(path, log: ingest.FlightLog) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: float cells as ``repr(float(c))``, the shortest
+    text that reads back to the same bits, every other cell as it is."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_s", "current_a", "voltage_v"])
-        for t, i, v in zip(log.times, log.current, log.voltage):
-            writer.writerow([repr(float(t)), repr(float(i)), repr(float(v))])
+        writer.writerow(header)
+        writer.writerows([repr(float(c)) if isinstance(c, float) else c
+                          for c in row] for row in rows)
+
+
+def write_flight_csv(path, log: ingest.FlightLog) -> None:
+    write_csv(path, ingest.COLUMNS.values(), zip(
+        log.times.tolist(), log.current.tolist(), log.voltage.tolist()))
+
+
+def write_table(out, name, table, header, rows) -> None:
+    """``name``.txt and ``name``.csv into the directory ``out``, or the
+    text table to stdout when ``out`` is not given."""
+    if not out:
+        print(table, end="")
+        return
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text(table, encoding="utf-8")
+    write_csv(out_dir / f"{name}.csv", header, rows)
+    print(f"wrote {out_dir / f'{name}.txt'}")
+
+
+def float_list(text) -> list:
+    """A comma list of numbers (an argparse type: a bad list exits 2)."""
+    return [float(s) for s in text.split(",")]
 
 
 def load_flights(data_dir) -> list:
@@ -138,9 +160,15 @@ def flatten_features(windows) -> tuple:
     return x, y
 
 
-def interval_levels(z: float) -> tuple:
-    """Central-interval quantile levels equivalent to +/- z sigma."""
+def interval_levels(z: float, levels) -> tuple:
+    """Central-interval quantile levels equivalent to +/- z sigma. A level
+    more than LEVEL_TOLERANCE outside the model's level grid is a
+    UsageError: its quantile would be clamped to the end of the grid."""
     lo = float(ndtr(-z))
+    if not min(levels) - LEVEL_TOLERANCE <= min(lo, 1.0 - lo) \
+            <= max(lo, 1.0 - lo) <= max(levels) + LEVEL_TOLERANCE:
+        raise UsageError(f"z = {z} asks for quantile level {lo!r}, outside "
+                         f"the model's level grid {list(levels)}")
     return lo, 1.0 - lo
 
 
@@ -189,7 +217,7 @@ def flight_forecast(kind, model, meta, log, conf, seed) -> Forecast:
         # the batch sorts each row: monotone repair across levels
         dists = metrics.QuantileBatch(
             model.predict_quantiles(x) + physics_v[warm:, None], model.levels)
-        lo_level, hi_level = interval_levels(z)
+        lo_level, hi_level = interval_levels(z, model.levels)
         lower, upper = dists.quantile(lo_level), dists.quantile(hi_level)
         center = dists.quantile(0.5)
         extra = {"interval_lo": lower, "interval_hi": upper}
@@ -212,8 +240,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scales = [float(s) for s in args.scales.split(",")] if args.scales \
-        else [1.0] * args.fleet
+    scales = args.scales or [1.0] * args.fleet
     if len(scales) != args.fleet:
         raise UsageError(f"--scales needs {args.fleet} entries")
 
@@ -259,10 +286,8 @@ def cmd_train(args) -> int:
         elif args.kind == "qrf":
             model = baselines.qrf_fit(
                 x, y, baselines.ForestConfig(seed=args.seed))
-        elif args.kind == "qgb":
-            model = baselines.qgb_fit_set(x, y, baselines.BoostConfig())
         else:
-            raise UsageError(f"unknown model kind {args.kind!r}")
+            model = baselines.qgb_fit_set(x, y, baselines.BoostConfig())
         baselines.save_baseline(model, out, meta=meta)
         print(f"trained {args.kind} on {len(windows)} windows")
     print(f"wrote {out}")
@@ -294,20 +319,14 @@ def cmd_predict(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n = len(log)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "physics_v", "corrected_v", *fc.extra,
-                         "uncorrected"])
-        for i in range(n):
-            warm = i < fc.warm
-            corrected = fc.physics_v[i] if warm else fc.center[i - fc.warm]
-            writer.writerow([
-                repr(float(log.times[i])), repr(float(fc.physics_v[i])),
-                repr(float(corrected)),
-                *("" if warm else repr(float(col[i - fc.warm]))
-                  for col in fc.extra.values()),
-                int(warm)])
+    physics_v = fc.physics_v.tolist()
+    blank = [""] * fc.warm
+    write_csv(out, ["time_s", "physics_v", "corrected_v", *fc.extra,
+                    "uncorrected"],
+              zip(log.times.tolist(), physics_v,
+                  physics_v[:fc.warm] + fc.center.tolist(),
+                  *(blank + col.tolist() for col in fc.extra.values()),
+                  [1] * fc.warm + [0] * len(fc.center)))
     print(f"wrote {out}")
     return 0
 
@@ -348,22 +367,11 @@ def cmd_evaluate(args) -> int:
               for name in ("measured", "lower", "upper")))
         rows.append({"model": kind, "flight": "TOTAL", **total.to_kv()})
         grid, observed = total.calibration
-        with open(out_dir / f"calibration_{kind}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "observed"])
-            for p, o in zip(grid, observed):
-                writer.writerow([repr(float(p)), repr(float(o))])
+        write_csv(out_dir / f"calibration_{kind}.csv", ["level", "observed"],
+                  zip(grid.tolist(), observed.tolist()))
 
-    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "flight", "crps_mean", "crps_std",
-                         "miscalibration_area", "sharpness", "picp"])
-        for r in rows:
-            writer.writerow([r["model"], r["flight"], repr(r["crps_mean"]),
-                             repr(r["crps_std"]),
-                             repr(r["miscalibration_area"]),
-                             repr(r["sharpness"]), repr(r["picp"])])
+    write_csv(out_dir / "report.csv", list(rows[0]),
+              [list(r.values()) for r in rows])
     (out_dir / "report.txt").write_text(_format_score_table(rows),
                                         encoding="utf-8")
     kv = {}
@@ -392,21 +400,10 @@ def cmd_diagnose(args) -> int:
         print(f"diagnosed {log.flight_id}: {reports[-1].verdict}")
 
     rows = diagnostics.fleet_report(reports)
-    table = diagnostics.format_fleet_table(rows)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "health.txt").write_text(table, encoding="utf-8")
-        with open(out_dir / "health.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["flight", "model", "picp", "verdict"])
-            for r in rows:
-                writer.writerow([r.flight_id, r.model_kind,
-                                 f"{r.picp_score:.3f}", r.verdict])
-        print(f"wrote {out_dir / 'health.txt'}")
-    else:
-        print(table, end="")
+    write_table(args.out, "health", diagnostics.format_fleet_table(rows),
+                ["flight", "model", "picp", "verdict"],
+                [[r.flight_id, r.model_kind, f"{r.picp_score:.3f}", r.verdict]
+                 for r in rows])
     return 0
 
 
@@ -415,9 +412,6 @@ def cmd_sensitivity(args) -> int:
     params = battery_params(conf)
     logs = load_flights(args.data)
     config = cnn_config_from(conf)
-    rates = [float(r) for r in args.rates.split(",")]
-    if not rates:
-        raise UsageError("--rates must list at least one dropout rate")
 
     if args.eval_ids:
         eval_ids = set(args.eval_ids.split(","))
@@ -430,7 +424,7 @@ def cmd_sensitivity(args) -> int:
     train_w = pooled_windows(train_logs, params, config.window_size, initial_soc)
     eval_w = pooled_windows(eval_logs, params, config.window_size, initial_soc)
 
-    rows = cnn.dropout_sensitivity(config, rates, train_w, eval_w,
+    rows = cnn.dropout_sensitivity(config, args.rates, train_w, eval_w,
                                    seed=args.seed)
     header = (f"{'rate':>5} {'mean_sigma_e':>13} {'calibration':>12} "
               f"{'sharpness':>10} {'crps':>9}")
@@ -439,23 +433,11 @@ def cmd_sensitivity(args) -> int:
         lines.append(f"{r.dropout_rate:>5.2f} {r.mean_sigma_e:>13.5f} "
                      f"{r.calibration_area:>12.3f} {r.sharpness:>10.5f} "
                      f"{r.crps_mean:>9.5f}")
-    table = "\n".join(lines) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sensitivity.txt").write_text(table, encoding="utf-8")
-        with open(out_dir / "sensitivity.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rate", "mean_sigma_e", "calibration_area",
-                             "sharpness", "crps_mean"])
-            for r in rows:
-                writer.writerow([repr(r.dropout_rate), repr(r.mean_sigma_e),
-                                 repr(r.calibration_area), repr(r.sharpness),
-                                 repr(r.crps_mean)])
-        print(f"wrote {out_dir / 'sensitivity.txt'}")
-    else:
-        print(table, end="")
+    write_table(args.out, "sensitivity", "\n".join(lines) + "\n",
+                ["rate", "mean_sigma_e", "calibration_area", "sharpness",
+                 "crps_mean"],
+                [[r.dropout_rate, r.mean_sigma_e, r.calibration_area,
+                  r.sharpness, r.crps_mean] for r in rows])
     return 0
 
 
@@ -478,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="scenario key-value file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fleet", type=int, default=1)
-    p.add_argument("--scales", help="comma list of q_max scales, one per flight")
+    p.add_argument("--scales", type=float_list,
+                   help="comma list of q_max scales, one per flight")
     # no default seed: the flag overrides the scenario file's seed
     p.set_defaults(func=cmd_simulate, seed=None)
 
@@ -521,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="dropout-rate sensitivity table")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--rates", required=True,
+    p.add_argument("--rates", required=True, type=float_list,
                    help="comma list of dropout rates")
     p.add_argument("--eval-ids", dest="eval_ids",
                    help="flights held out for evaluation")

@@ -21,13 +21,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import artifact, ingest, metrics, physics
+from . import InputError, artifact, ingest, metrics, physics
 from . import nn
 from .autodiff import Tensor
 from .nn import GaussianPrediction
 
 
-class InvalidConfig(ValueError):
+class InvalidConfig(InputError):
     """Configuration violates an architecture rule."""
 
 
@@ -117,9 +117,6 @@ class CorrectionModel:
         for layer in self.layers:
             out.extend(layer.params)
         return out
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params)
 
     def normalize(self, inputs: np.ndarray) -> np.ndarray:
         """(B, window, 2) raw windows -> (B, 2, window) normalized."""
@@ -307,7 +304,7 @@ class SensitivityRow:
 
 
 def dropout_sensitivity(config: CnnConfig, rates, train_windows, eval_windows,
-                        seed: int = 0, model_builder=build) -> list:
+                        seed: int = 0) -> list:
     """Train one model per dropout rate on identical data and seeds and
     score each on the held-out windows (epistemic spread, calibration,
     sharpness, CRPS)."""
@@ -316,14 +313,14 @@ def dropout_sensitivity(config: CnnConfig, rates, train_windows, eval_windows,
         raise ValueError("need at least one dropout rate")
     for rate in rates:
         if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate {rate} outside [0, 1)")
+            raise InvalidConfig(f"dropout rate {rate} outside [0, 1)")
 
     eval_x_raw = np.stack([w.inputs for w in eval_windows])
     eval_y = np.array([w.target for w in eval_windows])
     rows = []
     for rate in rates:
         cfg = replace(config, dropout_rate=rate).validate()
-        model = model_builder(cfg, seed)
+        model = build(cfg, seed)
         train(model, train_windows, cfg, seed=seed)
         y_hat, sigma_a2, sigma_e2 = _mc_forward(
             model, model.normalize(eval_x_raw), cfg.mc_samples, seed)

@@ -1,10 +1,10 @@
 """Flight-log ingestion: CSV parsing, cleaning, windowing, fleet splits.
 
-The CSV contract is a header row ``time_s,current_a,voltage_v`` (remappable
-through a schema dict), UTF-8, `.` decimal separator, missing values as
-empty cells or NaN. Cleaning removes duplicated timestamps and implausible
-sensor readings, imputes missing values with the per-flight column mean and
-normalizes timestamps to start at zero; it is idempotent.
+The CSV contract is a header row ``time_s,current_a,voltage_v``, UTF-8,
+`.` decimal separator, missing values as empty cells or NaN. Cleaning
+removes duplicated timestamps and implausible sensor readings, imputes
+missing values with the per-flight column mean, normalizes timestamps to
+start at zero and rejects gaps in the sampling; it is idempotent.
 """
 
 from __future__ import annotations
@@ -12,34 +12,45 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-
-class MissingColumn(ValueError):
-    """A mapped CSV column is absent from the header."""
+from . import InputError
 
 
-class EmptyFile(ValueError):
+class MissingColumn(InputError):
+    """A CSV column is absent from the header."""
+
+
+class EmptyFile(InputError):
     """The CSV has no data rows."""
 
 
-class AllRecordsInvalid(ValueError):
+class BadTimestamp(InputError):
+    """A time cell is not a finite number."""
+
+
+class AllRecordsInvalid(InputError):
     """Nothing survived cleaning."""
 
 
-class TooShort(ValueError):
+class IrregularSampling(InputError):
+    """The cleaned timestamps have a gap wider than the sample period."""
+
+
+class TooShort(InputError):
     """Fewer samples than one window."""
 
 
-class UnknownFlight(KeyError):
+class UnknownFlight(InputError, KeyError):
     """A requested flight id is not in the fleet."""
 
 
-DEFAULT_SCHEMA = {"time": "time_s", "current": "current_a", "voltage": "voltage_v"}
-DEFAULT_CURRENT_BOUNDS = (-5.0, 200.0)
-DEFAULT_VOLTAGE_BOUNDS = (0.0, 30.0)
+COLUMNS = {"time": "time_s", "current": "current_a", "voltage": "voltage_v"}
+CURRENT_BOUNDS = (-5.0, 200.0)
+VOLTAGE_BOUNDS = (0.0, 30.0)
+MAX_STEP_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -74,54 +85,49 @@ class WindowedSample:
 
 
 def _cell_to_float(raw: str) -> float:
-    raw = raw.strip()
-    if not raw:
-        return math.nan
     try:
         return float(raw)
     except ValueError:
         return math.nan
 
 
-def parse_flight_csv(path, schema: Optional[dict] = None) -> list[RawRecord]:
+def parse_flight_csv(path) -> list[RawRecord]:
     """Read one flight CSV into raw records.
 
     Unparseable current/voltage cells become NaN (imputed later by
     ``clean``). Timestamps must parse to finite numbers; a malformed time
-    cell is a malformed file and raises ValueError.
+    cell is a malformed file and raises BadTimestamp.
     """
-    schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyFile(f"{path}: no header row")
-        for logical, column in schema.items():
+        for column in COLUMNS.values():
             if column not in reader.fieldnames:
-                raise MissingColumn(f"{path}: no column {column!r} for {logical!r}")
+                raise MissingColumn(f"{path}: no column {column!r}")
         records = []
         for row_no, row in enumerate(reader, start=2):
-            t = _cell_to_float(row[schema["time"]] or "")
+            t = _cell_to_float(row[COLUMNS["time"]] or "")
             if not math.isfinite(t):
-                raise ValueError(f"{path}: row {row_no}: bad timestamp "
-                                 f"{row[schema['time']]!r}")
+                raise BadTimestamp(f"{path}: row {row_no}: bad timestamp "
+                                   f"{row[COLUMNS['time']]!r}")
             records.append(RawRecord(
                 time=t,
-                current=_cell_to_float(row[schema["current"]] or ""),
-                voltage=_cell_to_float(row[schema["voltage"]] or "")))
+                current=_cell_to_float(row[COLUMNS["current"]] or ""),
+                voltage=_cell_to_float(row[COLUMNS["voltage"]] or "")))
     if not records:
         raise EmptyFile(f"{path}: no data rows")
     return records
 
 
-def clean(records: Sequence[RawRecord], flight_id: str = "flight",
-          current_bounds=DEFAULT_CURRENT_BOUNDS,
-          voltage_bounds=DEFAULT_VOLTAGE_BOUNDS) -> FlightLog:
+def clean(records: Sequence[RawRecord], flight_id: str = "flight") -> FlightLog:
     """Deduplicate, bound-check, impute and time-normalize raw records.
 
     Records whose current or voltage lies outside the plausibility bounds
     are dropped; missing values are imputed with the column mean over the
-    surviving records. Timestamps are shifted to start at zero. Raises
-    AllRecordsInvalid when nothing usable remains.
+    surviving records. Timestamps are shifted to start at zero; the median
+    step is the sample period. Raises AllRecordsInvalid when nothing usable
+    remains and IrregularSampling at a step over MAX_STEP_RATIO periods.
     """
     if not records:
         raise ValueError("clean() needs at least one record")
@@ -134,10 +140,10 @@ def clean(records: Sequence[RawRecord], flight_id: str = "flight",
 
     def plausible(rec: RawRecord) -> bool:
         if math.isfinite(rec.current) and not \
-                current_bounds[0] <= rec.current <= current_bounds[1]:
+                CURRENT_BOUNDS[0] <= rec.current <= CURRENT_BOUNDS[1]:
             return False
         if math.isfinite(rec.voltage) and not \
-                voltage_bounds[0] <= rec.voltage <= voltage_bounds[1]:
+                VOLTAGE_BOUNDS[0] <= rec.voltage <= VOLTAGE_BOUNDS[1]:
             return False
         return True
 
@@ -156,7 +162,13 @@ def clean(records: Sequence[RawRecord], flight_id: str = "flight",
         col[~present] = col[present].mean()
 
     times = times - times[0]
-    period = float(np.median(np.diff(times))) if times.size > 1 else 1.0
+    steps = np.diff(times)
+    period = float(np.median(steps)) if times.size > 1 else 1.0
+    gaps = np.nonzero(steps > MAX_STEP_RATIO * period)[0]
+    if gaps.size:
+        k = gaps[0]
+        raise IrregularSampling(f"{flight_id}: {steps[k]:g} s gap after t = "
+                                f"{times[k]:g} s (sample period {period:g} s)")
     return FlightLog(flight_id=flight_id, times=times, current=current,
                      voltage=voltage, sample_period=period)
 

@@ -7,6 +7,12 @@ tuples, or left as strings.
 
 from __future__ import annotations
 
+from . import InputError
+
+
+class InvalidFile(InputError):
+    """A malformed line, or a key or value the file's reader rejects."""
+
 
 def _parse_value(raw: str):
     raw = raw.strip()
@@ -36,7 +42,7 @@ def loads(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected `name = value`, got {line!r}")
+            raise InvalidFile(f"line {lineno}: expected `name = value`, got {line!r}")
         key, _, raw = line.partition("=")
         out[key.strip()] = _parse_value(raw)
     return out
@@ -47,20 +53,7 @@ def load(path) -> dict:
         return loads(fh.read())
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list)):
-        return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def dumps(values: dict) -> str:
-    return "".join(f"{k} = {_format_value(v)}\n" for k, v in values.items())
-
-
 def dump(values: dict, path) -> None:
+    """Write numbers as `name = value` lines, each as ``repr(float(v))``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(values))
+        fh.write("".join(f"{k} = {float(v)!r}\n" for k, v in values.items()))

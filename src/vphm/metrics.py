@@ -20,6 +20,7 @@ from scipy.special import ndtr, ndtri
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+CALIBRATION_LEVELS = 101
 
 
 class LengthMismatch(ValueError):
@@ -270,17 +271,16 @@ def crps_summary(dists, ys) -> tuple:
     return float(scores.mean()), float(scores.std())
 
 
-def calibration_curve(dists, ys, grid_size: int = 101):
+def calibration_curve(dists, ys):
     """Observed coverage fraction per nominal probability level.
 
     Returns (levels, observed fractions, miscalibration area); the area is
-    the trapezoidal integral of |observed - level| over the uniform grid.
+    the trapezoidal integral of |observed - level| over the uniform grid of
+    CALIBRATION_LEVELS levels.
     """
     batch = _as_batch(dists)
     ys = _observations(batch, ys)
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, CALIBRATION_LEVELS)
     qmat = np.stack([batch.quantile(float(p)) for p in grid], axis=1)
     observed = (ys[:, None] <= qmat).mean(axis=0)
     area = float(np.trapezoid(np.abs(observed - grid), grid))
@@ -307,13 +307,12 @@ def picp(lower, upper, ys) -> float:
     return float(np.mean((lower <= ys) & (ys <= upper)))
 
 
-def compute_report(dists, ys, lower, upper,
-                   grid_size: int = 101) -> ScoreReport:
+def compute_report(dists, ys, lower, upper) -> ScoreReport:
     """All four paper metrics for one flight's forecasts; the report also
     keeps the calibration curve it measured the area on."""
     dists = _as_batch(dists)
     mean, std = crps_summary(dists, ys)
-    grid, observed, area = calibration_curve(dists, ys, grid_size)
+    grid, observed, area = calibration_curve(dists, ys)
     return ScoreReport(crps_mean=mean, crps_std=std, miscalibration_area=area,
                        sharpness=sharpness(dists), picp=picp(lower, upper, ys),
                        calibration=(grid, observed))

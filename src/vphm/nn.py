@@ -2,9 +2,10 @@
 
 The layer set is deliberately small: 1-D convolution with `same` padding,
 ReLU, inverted dropout, adaptive average pooling, dense layers and a
-two-neuron Gaussian output head (mean + exp-activated variance). All
-layers build autodiff graphs on :class:`vphm.autodiff.Tensor`, so the
-heteroscedastic negative-log-likelihood loss is differentiable end to end.
+two-neuron Gaussian output head (mean + exp-activated variance). Every
+layer takes a batch on its first axis. All layers build autodiff graphs
+on :class:`vphm.autodiff.Tensor`, so the heteroscedastic
+negative-log-likelihood loss is differentiable end to end.
 A layer records a graph node only when one of its inputs or parameters
 requires a gradient; with every parameter frozen, a forward pass computes
 values and keeps nothing alive for a backward pass.
@@ -30,8 +31,8 @@ class EmptyInput(ValueError):
 
 @dataclass
 class GaussianPrediction:
-    """Predicted mean and aleatoric variance; tensors during training,
-    plain floats once extracted by the inference loop."""
+    """Predicted means and aleatoric variances of a batch, as (B,)
+    tensors."""
 
     mu: object
     sigma2_a: object
@@ -43,17 +44,6 @@ class LayerSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.kind == "conv1d":
-            if self.params.get("padding", "same") == "same" \
-                    and self.params["kernel"] % 2 == 0:
-                raise ValueError("conv1d with `same` padding needs an odd kernel")
-        if self.kind == "dropout":
-            rate = self.params["rate"]
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        return self
 
 
 def xavier_uniform(shape, fan_in, fan_out, rng) -> np.ndarray:
@@ -69,7 +59,7 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
                    padding: str = "same") -> Tensor:
     """Cross-correlate ``x`` with ``weight`` and add ``bias``.
 
-    ``x`` is (channels, length) or (batch, channels, length); ``weight`` is
+    ``x`` is (batch, channels, length); ``weight`` is
     (filters, channels, kernel). `same` zero padding keeps the output length
     equal to the input length.
 
@@ -81,11 +71,9 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
     """
     if padding != "same":
         raise ValueError(f"unsupported padding mode {padding!r}")
-    single = x.data.ndim == 2
-    xd = x.data[None, :, :] if single else x.data
-    if xd.ndim != 3 or weight.data.ndim != 3:
+    if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeMismatch("conv1d expects (B,C,L) input and (F,C,K) weights")
-    nb, nc, length = xd.shape
+    nb, nc, length = x.data.shape
     nf, wc, kernel = weight.data.shape
     if wc != nc:
         raise ShapeMismatch(f"conv1d: {nc} input channels vs {wc} weight channels")
@@ -97,7 +85,7 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
     pad = kernel // 2
     padded = (nb, length + 2 * pad, nc)
     xp = np.zeros(padded)
-    xp[:, pad:pad + length, :] = xd.transpose(0, 2, 1)
+    xp[:, pad:pad + length, :] = x.data.transpose(0, 2, 1)
     # im2col: row (b, l) holds xp[b, l + k, c] in the (c, k) order of weight
     cols = sliding_window_view(xp, kernel, axis=1).reshape(nb * length,
                                                           nc * kernel)
@@ -106,16 +94,15 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
     val += bias.data
     val = val.reshape(nb, length, nf).transpose(0, 2, 1)
 
-    out = Tensor(val[0] if single else val)
+    out = Tensor(val)
     out.requires_grad = x.requires_grad or weight.requires_grad or bias.requires_grad
     if out.requires_grad:
         out._prev = (x, weight, bias)
 
         def bwd(g):
-            go = g[None, :, :] if single else g
-            go2 = go.transpose(0, 2, 1).reshape(nb * length, nf)
+            go2 = g.transpose(0, 2, 1).reshape(nb * length, nf)
             if bias.requires_grad:
-                bias._accumulate(go.sum(axis=(0, 2)))
+                bias._accumulate(g.sum(axis=(0, 2)))
             if weight.requires_grad:
                 weight._accumulate((go2.T @ cols).reshape(nf, nc, kernel))
             if x.requires_grad:
@@ -124,16 +111,16 @@ def conv1d_forward(x: Tensor, weight: Tensor, bias: Tensor,
                 for k in range(kernel):
                     gxp[:, k:k + length, :] += gcols[:, :, :, k]
                 gx = gxp[:, pad:pad + length, :].transpose(0, 2, 1)
-                x._accumulate(gx[0] if single else gx)
+                x._accumulate(gx)
 
         out._backward = bwd
     return out
 
 
 def adaptive_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the length axis: (B,F,L) -> (B,F) or (F,L) -> (F,)."""
-    if x.data.ndim not in (2, 3):
-        raise ShapeMismatch("adaptive_avg_pool expects (B,F,L) or (F,L)")
+    """Mean over the length axis: (B,F,L) -> (B,F)."""
+    if x.data.ndim != 3:
+        raise ShapeMismatch("adaptive_avg_pool expects (B,F,L)")
     if x.data.shape[-1] < 1:
         raise EmptyInput("cannot pool a zero-length feature map")
     length = x.data.shape[-1]
@@ -161,22 +148,11 @@ def dropout_forward(x: Tensor, rate: float, rng, training: bool = True):
 
 
 def gaussian_head_forward(features: Tensor) -> GaussianPrediction:
-    """Split the raw two-neuron output into (mean, exp-activated variance)."""
-    single = features.data.ndim == 1
-    feat2d = features
-    if single:
-        if features.data.shape != (2,):
-            raise ShapeMismatch("gaussian head expects 2 raw outputs")
-        reshaped = Tensor(features.data.reshape(1, 2))
-        reshaped.requires_grad = features.requires_grad
-        if reshaped.requires_grad:
-            reshaped._prev = (features,)
-            reshaped._backward = lambda g: features._accumulate(g.reshape(2))
-        feat2d = reshaped
-    elif features.data.ndim != 2 or features.data.shape[1] != 2:
+    """Split the raw (B, 2) output into (mean, exp-activated variance)."""
+    if features.data.ndim != 2 or features.data.shape[1] != 2:
         raise ShapeMismatch("gaussian head expects (B, 2) raw outputs")
-    mu = feat2d.column(0)
-    sigma2 = feat2d.column(1).exp()
+    mu = features.column(0)
+    sigma2 = features.column(1).exp()
     return GaussianPrediction(mu=mu, sigma2_a=sigma2)
 
 

@@ -28,8 +28,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import InputError
 
-class UnknownChemistry(KeyError):
+
+class UnknownChemistry(InputError, KeyError):
     """No parameter preset registered for the requested chemistry tag."""
 
 
@@ -86,10 +88,6 @@ class BatteryState:
     v_o: float
     v_eta_p: float
     v_eta_n: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.q_s_p, self.q_b_p, self.q_s_n, self.q_b_n,
-                         self.v_o, self.v_eta_p, self.v_eta_n])
 
 
 @dataclass

@@ -137,39 +137,48 @@ def parse_scenario(path, params: Optional[physics.BatteryParams] = None
 
     The truth battery comes from the ``chemistry`` key (a preset tag) unless
     an explicit ``params`` object is supplied. Load arguments use ``load_``
-    prefixed keys; step lists are comma-separated.
+    prefixed keys; step lists are comma-separated. A missing ``duration``,
+    a value the spec rejects, or a key it does not use (a typo, or a load
+    argument of another load kind) raises ``kvconfig.InvalidFile``.
     """
     raw = kvconfig.load(path)
-    if params is None:
-        params = physics.default_params(str(raw.get("chemistry", "lipo-30ah")))
-    if "q_max_scale" in raw:
-        params = replace(params, q_max=params.q_max * float(raw["q_max_scale"]))
+    try:
+        chemistry = str(raw.pop("chemistry", "lipo-30ah"))
+        if params is None:
+            params = physics.default_params(chemistry)
+        if "q_max_scale" in raw:
+            params = replace(params, q_max=params.q_max * float(raw.pop("q_max_scale")))
 
-    load_kind = str(raw.get("load_kind", "constant"))
-    load_args: dict = {}
-    if load_kind == "constant":
-        load_args["amps"] = float(raw.get("load_amps", 30.0))
-    elif load_kind == "steps":
-        times = raw.get("load_step_times", ())
-        amps = raw.get("load_step_amps", ())
-        load_args["times"] = times if isinstance(times, tuple) else (float(times),)
-        load_args["amps"] = amps if isinstance(amps, tuple) else (float(amps),)
-    elif load_kind == "random_walk":
-        for key in ("mean", "sigma", "lo", "hi", "smoothing"):
-            if f"load_{key}" in raw:
-                load_args[key] = raw[f"load_{key}"]
+        load_kind = str(raw.pop("load_kind", "constant"))
+        load_args: dict = {}
+        if load_kind == "constant":
+            load_args["amps"] = float(raw.pop("load_amps", 30.0))
+        elif load_kind == "steps":
+            times = raw.pop("load_step_times", ())
+            amps = raw.pop("load_step_amps", ())
+            load_args["times"] = times if isinstance(times, tuple) else (float(times),)
+            load_args["amps"] = amps if isinstance(amps, tuple) else (float(amps),)
+        elif load_kind == "random_walk":
+            for key in ("mean", "sigma", "lo", "hi", "smoothing"):
+                if f"load_{key}" in raw:
+                    load_args[key] = float(raw.pop(f"load_{key}"))
 
-    return ScenarioSpec(
-        duration=float(raw["duration"]),
-        sample_period=float(raw.get("sample_period", 1.0)),
-        params=params,
-        load_kind=load_kind,
-        load_args=load_args,
-        sigma_v=float(raw.get("sigma_v", 0.0)),
-        sigma_i=float(raw.get("sigma_i", 0.0)),
-        bias_kind=str(raw.get("bias_kind", "none")),
-        bias_volts=float(raw.get("bias_volts", 0.0)),
-        initial_soc=float(raw.get("initial_soc", 1.0)),
-        seed=int(raw.get("seed", 0)),
-        flight_id=str(raw.get("flight_id", "synth")),
-    )
+        spec = ScenarioSpec(
+            duration=float(raw.pop("duration")),
+            sample_period=float(raw.pop("sample_period", 1.0)),
+            params=params,
+            load_kind=load_kind,
+            load_args=load_args,
+            sigma_v=float(raw.pop("sigma_v", 0.0)),
+            sigma_i=float(raw.pop("sigma_i", 0.0)),
+            bias_kind=str(raw.pop("bias_kind", "none")),
+            bias_volts=float(raw.pop("bias_volts", 0.0)),
+            initial_soc=float(raw.pop("initial_soc", 1.0)),
+            seed=int(raw.pop("seed", 0)),
+            flight_id=str(raw.pop("flight_id", "synth")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise kvconfig.InvalidFile(f"{path}: bad or missing value: {exc}") from exc
+    if raw:
+        raise kvconfig.InvalidFile(f"{path}: unused scenario keys {sorted(raw)}")
+    return spec

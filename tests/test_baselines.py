@@ -118,7 +118,8 @@ class TestTree:
         y = rng.normal(size=100)
         a = baselines.fit_tree(X, y, 10, 5, 2)
         b = baselines.fit_tree(X, y, 10, 5, 2)
-        assert np.array_equal(a.packed(), b.packed())
+        for name in baselines.TREE_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestQrf:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vphm
 from vphm import artifact, cli, cnn, diagnostics, ingest, physics
@@ -205,6 +207,112 @@ class TestBadData:
         assert main(["predict", "--model", str(model), "--flight",
                      str(sandbox["data"] / "mission-00.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+
+def edited_flight(sandbox, path, keep=None, time_cell=None):
+    """mission-00.csv with only the rows whose time is in ``keep``, or with
+    the fifth data row's time cell replaced by ``time_cell``."""
+    lines = (sandbox["data"] / "mission-00.csv").read_text().splitlines()
+    rows = [line for line in lines[1:]
+            if keep is None or float(line.split(",")[0]) in keep]
+    if time_cell is not None:
+        rows[4] = time_cell + "," + rows[4].split(",", 1)[1]
+    path.write_text("\n".join([lines[0], *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def scenario_with(tmp_path, old, new):
+    spec = tmp_path / "edited.kv"
+    spec.write_text(SCENARIO.replace(old, new), encoding="utf-8")
+    return ["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]
+
+
+def predict_with(sandbox, tmp_path, flight=None, config=None):
+    argv = ["predict", "--model", str(sandbox["qlr"]), "--flight",
+            str(flight or sandbox["data"] / "mission-00.csv"),
+            "--out", str(tmp_path / "p.csv")]
+    if config is not None:
+        (tmp_path / "run.kv").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.kv")]
+    return argv
+
+
+GAPPY_TIMES = {0, 1, 5, 6, 7, 8, 20, 21, 22, 23, 24}
+
+MALFORMED = {
+    "csv time cell": lambda sb, tmp: predict_with(
+        sb, tmp, edited_flight(sb, tmp / "bad-time.csv", time_cell="abc")),
+    "gappy timestamps": lambda sb, tmp: predict_with(
+        sb, tmp, edited_flight(sb, tmp / "gappy.csv", keep=GAPPY_TIMES)),
+    "config line without =": lambda sb, tmp: predict_with(
+        sb, tmp, config="epochs 3\n"),
+    "config number not a number": lambda sb, tmp: predict_with(
+        sb, tmp, config="epochs = abc\n"),
+    "scenario without duration": lambda sb, tmp: scenario_with(
+        tmp, "duration = 150\n", ""),
+    "unknown load kind": lambda sb, tmp: scenario_with(
+        tmp, "load_kind = random_walk", "load_kind = zigzag"),
+    "load argument not a number": lambda sb, tmp: scenario_with(
+        tmp, "load_mean = 40.0", "load_mean = abc"),
+    "scenario key typo": lambda sb, tmp: scenario_with(
+        tmp, "sigma_v = 0.02", "sigma_v = 0.02\nsigma_V = 0.5"),
+    "rates not numbers": lambda sb, tmp: [
+        "sensitivity", "--data", str(sb["data"]), "--rates", "a,b"],
+    "scales not numbers": lambda sb, tmp: [
+        "simulate", "--spec", str(sb["spec"]), "--out", str(tmp / "o"),
+        "--fleet", "2", "--scales", "x,1"],
+}
+
+
+class TestMalformedInput:
+    """Malformed input from outside the program exits 2, not 1, and is not
+    silently accepted."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2(self, sandbox, tmp_path, case):
+        assert main(MALFORMED[case](sandbox, tmp_path)) == 2
+
+    def test_gap_is_named(self, sandbox, tmp_path):
+        flight = edited_flight(sandbox, tmp_path / "gappy.csv",
+                               keep=GAPPY_TIMES)
+        with pytest.raises(ingest.IrregularSampling, match="after t = 1 s"):
+            ingest.clean(ingest.parse_flight_csv(flight))
+
+
+class TestIntervalLevels:
+    def diagnose(self, sandbox, kind, *flags):
+        return main(["diagnose", "--model", str(sandbox[kind]),
+                     "--data", str(sandbox["data"]), *flags])
+
+    def test_z_beyond_baseline_grid_exits_2(self, sandbox, capsys):
+        assert self.diagnose(sandbox, "qlr", "--z", "3") == 2
+        err = capsys.readouterr().err
+        assert "0.00134" in err and "0.025" in err
+
+    def test_default_z_passes_and_cnn_takes_any_z(self, sandbox):
+        lo, hi = cli.interval_levels(1.96, (0.025, 0.5, 0.975))
+        assert 0.025 - lo < 1e-5 and hi - 0.975 < 1e-5
+        assert self.diagnose(sandbox, "qlr") == 0
+        assert self.diagnose(sandbox, "cnn", "--z", "3") == 0
+
+
+@given(n=st.integers(1, 40), period=st.floats(1e-3, 100.0),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flight_csv_round_trip_keeps_bits(tmp_path_factory, n, period, data):
+    """A flight written by write_flight_csv, then parsed and cleaned, gives
+    back the same times, current and voltage bits."""
+    current = data.draw(st.lists(st.floats(-5.0, 200.0), min_size=n,
+                                 max_size=n))
+    voltage = data.draw(st.lists(st.floats(0.0, 30.0), min_size=n,
+                                 max_size=n))
+    log = ingest.FlightLog("f", np.arange(n) * period, np.array(current),
+                           np.array(voltage), period)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    cli.write_flight_csv(path, log)
+    back = ingest.clean(ingest.parse_flight_csv(path), flight_id="f")
+    for name in ("times", "current", "voltage"):
+        assert getattr(back, name).tobytes() == getattr(log, name).tobytes()
 
 
 class TestArtifactKeys:

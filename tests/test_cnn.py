@@ -38,7 +38,7 @@ class TestBuild:
     def test_default_parameter_count(self):
         model = cnn.build(CnnConfig(), seed=0)
         # 3 conv blocks + pool + dense 64/32 + 2-neuron head
-        assert model.param_count() == 4914
+        assert sum(p.data.size for p in model.params) == 4914
 
     def test_forward_variance_positive(self):
         model = cnn.build(CnnConfig(), seed=1)

@@ -10,36 +10,36 @@ from testutil import analytic_grads, finite_diff_grad, max_rel_error, rand_tenso
 
 class TestConv1d:
     def test_identity_kernel_passes_input_through(self):
-        x = Tensor(np.array([[1.0, -2.0, 3.0, 0.5]]))
+        x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
         w = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
         b = Tensor(np.zeros(1))
         out = nn.conv1d_forward(x, w, b)
         assert np.allclose(out.data, x.data)
 
     def test_zero_weights_give_bias_everywhere(self):
-        x = Tensor(np.ones((2, 5)))
+        x = Tensor(np.ones((1, 2, 5)))
         w = Tensor(np.zeros((3, 2, 3)))
         b = Tensor(np.full(3, 0.5))
         out = nn.conv1d_forward(x, w, b)
         assert np.allclose(out.data, 0.5)
-        assert out.data.shape == (3, 5)
+        assert out.data.shape == (1, 3, 5)
 
     def test_box_kernel_hand_computed(self):
         # cross-correlation of [1,2,3] with [1,1,1], zero-padded
-        x = Tensor(np.array([[1.0, 2.0, 3.0]]))
+        x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
         w = Tensor(np.ones((1, 1, 3)))
         b = Tensor(np.zeros(1))
         out = nn.conv1d_forward(x, w, b)
-        assert np.allclose(out.data, [[3.0, 6.0, 5.0]])
+        assert np.allclose(out.data, [[[3.0, 6.0, 5.0]]])
 
     def test_even_kernel_rejected(self):
-        x = Tensor(np.ones((1, 4)))
+        x = Tensor(np.ones((1, 1, 4)))
         w = Tensor(np.ones((1, 1, 4)))
         with pytest.raises(ValueError):
             nn.conv1d_forward(x, w, Tensor(np.zeros(1)))
 
     def test_channel_mismatch_rejected(self):
-        x = Tensor(np.ones((2, 4)))
+        x = Tensor(np.ones((1, 2, 4)))
         w = Tensor(np.ones((1, 3, 3)))
         with pytest.raises(ShapeMismatch):
             nn.conv1d_forward(x, w, Tensor(np.zeros(1)))
@@ -48,10 +48,10 @@ class TestConv1d:
     @settings(max_examples=25, deadline=None)
     def test_same_padding_preserves_length(self, kernel, length):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, length)))
+        x = Tensor(rng.normal(size=(1, 2, length)))
         w = Tensor(rng.normal(size=(4, 2, kernel)))
         out = nn.conv1d_forward(x, w, Tensor(np.zeros(4)))
-        assert out.data.shape == (4, length)
+        assert out.data.shape == (1, 4, length)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_finite_differences(self, seed):
@@ -111,22 +111,6 @@ class TestConv1dAgainstLoop:
             assert got.shape == ref.shape
             assert_rel_close(got, ref)
 
-    @pytest.mark.parametrize("kernel", [1, 3, 5])
-    def test_single_window_matches_loop(self, kernel):
-        rng = np.random.default_rng(kernel)
-        x = rand_tensor(rng, (2, 10))
-        w = rand_tensor(rng, (16, 2, kernel), scale=0.3)
-        b = rand_tensor(rng, (16,), scale=0.1)
-        g = rng.normal(size=(16, 10))
-        out = nn.conv1d_forward(x, w, b)
-        (out * Tensor(g)).sum().backward()
-        ref_out, ref_gx, ref_gw, ref_gb = loop_conv1d(
-            x.data[None], w.data, b.data, g[None])
-        for got, ref in zip((out.data, x.grad, w.grad, b.grad),
-                            (ref_out[0], ref_gx[0], ref_gw, ref_gb)):
-            assert got.shape == ref.shape
-            assert_rel_close(got, ref)
-
     def test_frozen_operands_build_no_graph(self):
         rng = np.random.default_rng(0)
         out = nn.conv1d_forward(Tensor(rng.normal(size=(4, 2, 10))),
@@ -138,20 +122,20 @@ class TestConv1dAgainstLoop:
 
 class TestAdaptiveAvgPool:
     def test_simple_mean(self):
-        out = nn.adaptive_avg_pool(Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])))
-        assert np.allclose(out.data, [2.5])
+        out = nn.adaptive_avg_pool(Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]])))
+        assert np.allclose(out.data, [[2.5]])
 
     def test_constant_map(self):
-        out = nn.adaptive_avg_pool(Tensor(np.full((3, 7), 1.25)))
+        out = nn.adaptive_avg_pool(Tensor(np.full((1, 3, 7), 1.25)))
         assert np.allclose(out.data, 1.25)
 
     def test_per_filter_means(self):
-        out = nn.adaptive_avg_pool(Tensor(np.array([[1.0, 1.0], [2.0, 4.0]])))
-        assert np.allclose(out.data, [1.0, 3.0])
+        out = nn.adaptive_avg_pool(Tensor(np.array([[[1.0, 1.0], [2.0, 4.0]]])))
+        assert np.allclose(out.data, [[1.0, 3.0]])
 
     def test_empty_map_rejected(self):
         with pytest.raises(nn.EmptyInput):
-            nn.adaptive_avg_pool(Tensor(np.ones((2, 0))))
+            nn.adaptive_avg_pool(Tensor(np.ones((1, 2, 0))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -204,18 +188,18 @@ class TestDropout:
 
 class TestGaussianHead:
     def test_raw_zero_gives_unit_variance(self):
-        pred = nn.gaussian_head_forward(Tensor(np.array([0.3, 0.0])))
+        pred = nn.gaussian_head_forward(Tensor(np.array([[0.3, 0.0]])))
         assert pred.mu.item() == pytest.approx(0.3)
         assert pred.sigma2_a.item() == pytest.approx(1.0)
 
     def test_negative_raw_maps_through_exp(self):
-        pred = nn.gaussian_head_forward(Tensor(np.array([0.0, -2.0])))
+        pred = nn.gaussian_head_forward(Tensor(np.array([[0.0, -2.0]])))
         assert pred.sigma2_a.item() == pytest.approx(np.exp(-2.0))
 
     @given(st.floats(-20, 20), st.floats(-20, 20))
     @settings(max_examples=50, deadline=None)
     def test_variance_always_positive(self, a, b):
-        pred = nn.gaussian_head_forward(Tensor(np.array([a, b])))
+        pred = nn.gaussian_head_forward(Tensor(np.array([[a, b]])))
         assert pred.sigma2_a.item() > 0.0
 
     def test_batched_shapes(self):
@@ -302,11 +286,13 @@ class TestXavier:
 
 
 class TestLayerSpec:
+    """The rules of a layer spec, enforced by the layer constructors."""
+
     def test_even_kernel_with_same_padding_invalid(self):
         with pytest.raises(ValueError):
-            nn.LayerSpec("conv1d", {"kernel": 4, "padding": "same"}).validate()
+            nn.Conv1d(1, 1, kernel=4, rng=np.random.default_rng(0))
 
     def test_dropout_rate_bounds(self):
         with pytest.raises(ValueError):
-            nn.LayerSpec("dropout", {"rate": 1.0}).validate()
-        nn.LayerSpec("dropout", {"rate": 0.0}).validate()
+            nn.Dropout(1.0)
+        nn.Dropout(0.0)

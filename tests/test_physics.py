@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ class TestStep:
     def test_equilibrium_is_fixed_point(self, small_params):
         s0 = physics.initial_state(small_params, 0.7)
         s1 = physics.step(s0, 0.0, 1.0, small_params)
-        assert np.allclose(s1.as_vector(), s0.as_vector(), atol=1e-9)
+        assert np.allclose(astuple(s1), astuple(s0), atol=1e-9)
 
     def test_constant_current_drains_exact_charge(self):
         p = physics.BatteryParams(
